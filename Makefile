@@ -57,14 +57,15 @@ faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestMergeRetriesTransientIO|TestMergeCtxCancelled' . ./internal/dataset
 
-# Fused-path race gate: the fused decode+analyze pipeline (worker-local
-# replicas, all default analyzers), completion-order delivery, the
-# ForEachWorker reader primitives, and direct manifest analysis (shared
-# replicas fanned out across parts) under the race detector.
+# Fused-path race gate: the fused decode+analyze path (ordered decode
+# into one goroutine per analyzer, all default analyzers), the core
+# fan-out consumer and swap adoption, completion-order delivery, the
+# ForEachWorker reader primitives, and direct manifest analysis (one
+# fan-out shared across parts) under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestAnalyzeDatasetUnordered|TestForEachWorker|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestAnalyzeDatasetUnordered|TestForEachWorker|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart|TestFanOut|TestFoldSwapPrimaryHeldState|TestPipelineMatchesSequential' . ./internal/dataset ./internal/core
 
 # Short native-fuzz smoke over every decoder fuzz target: catches
 # panics and typed-error regressions without a long campaign.

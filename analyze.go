@@ -5,10 +5,12 @@ package userv6
 // merged file, a sharded export's manifest, a bare part list), a
 // core.Plan picks the execution mode, and AnalyzeSource runs the plan:
 // per part, decode workers fan out exactly as they would over a single
-// file, and because a sharded export's parts cover disjoint user
-// ranges, worker-local analyzer replicas fold across parts exactly like
-// generation shards — so analyzing a manifest directly is byte-identical
-// to merging it first and analyzing the merged file, minus the merge.
+// file, and the analyzers' consumers persist across parts, which
+// ordered modes see one after another in manifest order. Because a
+// sharded export's parts cover disjoint user ranges, replicas fold
+// across parts exactly like generation shards — so analyzing a
+// manifest directly is byte-identical to merging it first and
+// analyzing the merged file, minus the merge.
 
 import (
 	"context"
@@ -121,10 +123,27 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 		agg.Add(rep)
 		return nil
 	}
-	open := func(path string, unordered bool) (*dataset.ParallelReader, error) {
-		return dataset.OpenParallel(path, dataset.ParallelOptions{
-			Workers: plan.Workers, Tolerant: plan.Tolerant, Unordered: unordered,
-		})
+	// readParts streams every part, in order, through fn, then checks
+	// its coverage. Unordered delivery invokes fn concurrently from the
+	// decode workers.
+	readParts := func(unordered bool, fn func(dataset.Batch) error) error {
+		for i, path := range parts {
+			pr, err := dataset.OpenParallel(path, dataset.ParallelOptions{
+				Workers: plan.Workers, Tolerant: plan.Tolerant, Unordered: unordered,
+			})
+			if err != nil {
+				return err
+			}
+			err = pr.ForEachBatch(ctx, fn)
+			if err == nil {
+				err = finishPart(i, pr)
+			}
+			pr.Close()
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	switch plan.Mode {
@@ -133,24 +152,14 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 		// from the delivery goroutine: the reference semantics of the
 		// sequential reader with the same coverage accounting as every
 		// other mode.
-		for i, path := range parts {
-			pr, err := open(path, false)
-			if err != nil {
-				return zero, err
+		err := readParts(false, func(b dataset.Batch) error {
+			for _, o := range b.Recs {
+				set.Observe(o)
 			}
-			err = pr.ForEachBatch(ctx, func(b dataset.Batch) error {
-				for _, o := range b.Recs {
-					set.Observe(o)
-				}
-				return nil
-			})
-			if err == nil {
-				err = finishPart(i, pr)
-			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
+			return nil
+		})
+		if err != nil {
+			return zero, err
 		}
 
 	case core.ModePipeline:
@@ -160,62 +169,32 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 		// file. Abort on error so a partial run never folds.
 		pipe := set.NewPipeline(plan.Workers)
 		defer pipe.Abort()
-		for i, path := range parts {
-			pr, err := open(path, false)
-			if err != nil {
-				return zero, err
-			}
-			err = pr.ForEachBatch(ctx, func(b dataset.Batch) error {
-				pipe.ObserveBatch(b.Recs)
-				return nil
-			})
-			if err == nil {
-				err = finishPart(i, pr)
-			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
+		err := readParts(false, func(b dataset.Batch) error {
+			pipe.ObserveBatch(b.Recs)
+			return nil
+		})
+		if err != nil {
+			return zero, err
 		}
 		if err := pipe.Close(); err != nil {
 			return zero, err
 		}
 
 	case core.ModeFused:
-		// Worker-local replicas persist across parts: part k+1's factory
-		// runs only after part k's workers have been joined, so replica
-		// reuse is race-free, and one fold at the very end covers the
-		// whole source.
-		replicas := make([]*core.Replica, plan.Workers)
-		for i, path := range parts {
-			pr, err := open(path, false)
-			if err != nil {
-				return zero, err
-			}
-			err = pr.ForEachWorker(ctx, func(w int) func(dataset.Batch) error {
-				if replicas[w] == nil {
-					replicas[w] = set.NewReplica()
-				}
-				r := replicas[w]
-				return func(b dataset.Batch) error {
-					for _, o := range b.Recs {
-						r.Observe(o)
-					}
-					return nil
-				}
-			})
-			if err == nil {
-				err = finishPart(i, pr)
-			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
+		// The decode pool delivers every part's blocks in stream order to
+		// one fan-out shared across parts: each analyzer's goroutine sees
+		// the merged file's exact stream, and Close adopts the replicas.
+		// Abort on error so the primaries stay untouched.
+		fan := set.NewFanOut()
+		defer fan.Abort()
+		err := readParts(false, func(b dataset.Batch) error {
+			return fan.ObserveBatch(ctx, b.Recs)
+		})
+		if err != nil {
+			return zero, err
 		}
-		for _, r := range replicas {
-			if r != nil {
-				set.Fold(r)
-			}
+		if err := fan.Close(); err != nil {
+			return zero, err
 		}
 
 	case core.ModeUnordered:
@@ -228,26 +207,16 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 			replicas[i] = set.NewReplica()
 			pool <- replicas[i]
 		}
-		for i, path := range parts {
-			pr, err := open(path, true)
-			if err != nil {
-				return zero, err
+		err := readParts(true, func(b dataset.Batch) error {
+			r := <-pool
+			for _, o := range b.Recs {
+				r.Observe(o)
 			}
-			err = pr.ForEachBatch(ctx, func(b dataset.Batch) error {
-				r := <-pool
-				for _, o := range b.Recs {
-					r.Observe(o)
-				}
-				pool <- r
-				return nil
-			})
-			if err == nil {
-				err = finishPart(i, pr)
-			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
+			pool <- r
+			return nil
+		})
+		if err != nil {
+			return zero, err
 		}
 		set.Fold(replicas...)
 

@@ -100,10 +100,10 @@ func usage() {
            a sharded export directory, or a manifest.uv6m (no merge needed:
            parts stream through the same workers the merged file would)
            -tolerant  salvage-path read: skip corrupt blocks, report coverage
-           -workers N block-parallel decode + analysis (0 = all CPUs, 1 = sequential);
+           -workers N parallel decode workers (0 = all CPUs, 1 = sequential);
                       the default analyzer set is commutative, so parallel runs
-                      use the fused path (decode workers feed worker-local
-                      analyzer replicas, folded once at the end)
+                      use the fused path (blocks decoded on N workers feed one
+                      goroutine per analyzer in stream order; no fold)
            -unordered completion-order batch delivery into a replica pool
                       (errors if any analyzer withholds the commutative
                       declaration, naming the offender)
@@ -825,7 +825,7 @@ func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	in := fs.String("i", "telemetry.uv6", "input path (dataset file, sharded export directory, or manifest.uv6m)")
 	tolerant := fs.Bool("tolerant", false, "salvage-path read: analyze intact blocks of a damaged source and report coverage")
-	workers := fs.Int("workers", 0, "block decode + analysis workers (0 = all CPUs, 1 = sequential)")
+	workers := fs.Int("workers", 0, "block decode workers; parallel runs also analyze on one goroutine per analyzer (0 = all CPUs, 1 = sequential)")
 	unordered := fs.Bool("unordered", false, "deliver blocks in completion order (requires commutative analyzers and -workers != 1)")
 	explain := fs.Bool("explain", false, "print the planner's chosen execution mode and why before analyzing")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the analysis to this path")

@@ -1,10 +1,11 @@
 package main
 
 // commutative-contract: registering an analyzer with
-// AddCommutativeAnalyzer authorizes the fused and unordered execution
-// paths to split its stream arbitrarily and fold the replicas back —
-// which is only sound if the type actually carries a fold. The rule
-// checks both halves of that bargain module-wide:
+// AddCommutativeAnalyzer authorizes the unordered execution path to
+// split its stream arbitrarily and fold the replicas back, and replica
+// adoption to swap a replica in and fold the primary's old state back
+// in — which is only sound if the type actually carries a fold. The
+// rule checks both halves of that bargain module-wide:
 //
 //  1. every type passed to AddCommutativeAnalyzer (or its Filtered
 //     variant) in non-test code must implement Merge with a matching

@@ -43,11 +43,12 @@ func writeAnalyzeDataset(t *testing.T, sim *Sim, users int) string {
 	return path
 }
 
-// The fused path — worker-local replicas fed straight from the decode
-// pool, folded once — must reproduce a sequential replay exactly for
-// every analyzer in the (now fully commutative) default set, at any
-// worker count, in strict and tolerant mode. Run under -race this is
-// also the data-race proof for the whole fused pipeline.
+// The fused path — blocks decoded on a pool, delivered in order to one
+// goroutine per analyzer, replicas adopted by swap — must reproduce a
+// sequential replay exactly for every analyzer in the (fully
+// commutative) default set, at any worker count, in strict and tolerant
+// mode. Run under -race this is also the data-race proof for the whole
+// fused pipeline.
 func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
@@ -184,7 +185,7 @@ func TestAnalyzeDatasetFusedNonCommutativeFallback(t *testing.T) {
 }
 
 // bombAnalyzer panics partway into the stream, exercising the fused
-// path's worker fault isolation.
+// path's analyzer-goroutine fault isolation.
 type bombAnalyzer struct{ n int }
 
 func (b *bombAnalyzer) Observe(telemetry.Observation) {
@@ -193,9 +194,9 @@ func (b *bombAnalyzer) Observe(telemetry.Observation) {
 	}
 }
 
-// A panic inside a fused worker's analyzer replica must surface as a
-// typed *dataset.WorkerPanicError and leave the set's primaries
-// unfolded — no partial fold masquerading as a result.
+// A panic inside a fused analyzer goroutine's replica must surface as a
+// typed *core.WorkerPanicError naming the analyzer and leave the set's
+// primaries untouched — no partial adoption masquerading as a result.
 func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
@@ -209,17 +210,50 @@ func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
 		t.Fatal("bomb set must stay commutative so the fused path engages")
 	}
 	_, err := sim.AnalyzeDatasetFused(context.Background(), path, 4, s.set, false)
-	var pe *dataset.WorkerPanicError
+	var pe *core.WorkerPanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("want *dataset.WorkerPanicError, got %v", err)
+		t.Fatalf("want *core.WorkerPanicError, got %v", err)
 	}
 	if pe.Value != "bomb" {
 		t.Fatalf("panic value %v, want bomb", pe.Value)
+	}
+	if pe.Analyzer != "*userv6.bombAnalyzer" {
+		t.Fatalf("panic names analyzer %q, want *userv6.bombAnalyzer", pe.Analyzer)
 	}
 	if got := s.uc.Users(); got != 0 {
 		t.Fatalf("primaries folded after failure: %d users", got)
 	}
 	if got := s.churn.Breakdown(); got.Total != 0 {
 		t.Fatalf("churn primary folded after failure: %+v", got)
+	}
+}
+
+// cancelAnalyzer cancels the run's context at its first observation.
+type cancelAnalyzer struct{ cancel context.CancelFunc }
+
+func (c *cancelAnalyzer) Observe(telemetry.Observation) { c.cancel() }
+
+// Cancelling a fused run in the middle of a part must return the
+// context's error and leave every primary untouched. The cancel lands
+// while the first block is analyzed; the reader can be at most one
+// fan-out queue (a few blocks) ahead of it, well short of the end of
+// the file.
+func TestAnalyzeDatasetFusedCancelMidPart(t *testing.T) {
+	users := fusedTestUsers()
+	sim := NewSim(DefaultScenario(users))
+	path := writeAnalyzeDataset(t, sim, users)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := newAnalyzeSet()
+	core.AddCommutativeAnalyzer(s.set, &cancelAnalyzer{},
+		func() *cancelAnalyzer { return &cancelAnalyzer{cancel: cancel} },
+		func(into, from *cancelAnalyzer) {})
+	_, err := sim.AnalyzeDatasetFused(ctx, path, 2, s.set, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if got := s.uc.Users(); got != 0 {
+		t.Fatalf("primaries adopted after cancellation: %d users", got)
 	}
 }

@@ -7,11 +7,11 @@ package core
 // in-order history lands on exactly one worker and per-user analyzer
 // state never crosses goroutines — the guarantee an order-dependent
 // analyzer needs for an exact fold. (Every built-in analyzer is now
-// commutative — see ChurnAttribution.Merge — so the default set can
-// also skip routing entirely via the fused Replica-per-decode-worker
-// path; the Pipeline remains the fallback for sets that withhold the
-// declaration.) Close folds the replicas into the primaries with the
-// analyzers' Merge methods.
+// commutative — see ChurnAttribution.Merge — so the default set runs on
+// the analyzer-parallel FanOut instead, see fanout.go; the Pipeline
+// remains the fallback for sets that withhold the declaration.) Close
+// folds the replicas into the primaries with the analyzers' Merge
+// methods.
 
 import (
 	"context"
@@ -41,12 +41,28 @@ type AnalyzerSet struct {
 }
 
 type registration struct {
-	name        string
-	primary     Observer
-	mk          func() Observer
-	fold        func(replica Observer)
-	filter      func(telemetry.Observation) bool
-	commutative bool
+	name    string
+	primary Observer
+	mk      func() Observer
+	fold    func(replica Observer)
+	filter  func(telemetry.Observation) bool
+	// swap exchanges the primary's and a replica's structs; set only by
+	// the commutative registrations, for which it doubles as the
+	// declaration.
+	swap func(replica Observer)
+}
+
+// adopt moves a replica's state into the primary. A commutative
+// registration swaps the two structs and folds the primary's old state
+// back in — exact because its Merge is commutative, and nearly free
+// when the primary started empty; any other registration folds the
+// replica. The replica is consumed: afterwards its state is
+// unspecified.
+func (r *registration) adopt(replica Observer) {
+	if r.swap != nil {
+		r.swap(replica)
+	}
+	r.fold(replica)
 }
 
 // NewAnalyzerSet returns an empty set.
@@ -85,16 +101,23 @@ func AddAnalyzerFiltered[T Observer](s *AnalyzerSet, primary T, mk func() T, fol
 // observations — or splitting it arbitrarily (not just user-disjointly)
 // across replicas and folding — must leave state identical to the
 // in-order sequential feed. Declaring it is what authorizes
-// completion-order delivery (analyze -unordered) and the fused
-// decode+analyze path: the caller checks Commutative() before
-// abandoning stream order. Analyzers whose state is a pure set- or
-// lattice-fold qualify: set-shaped dedup (UserCentric's and
-// IPCentric's (user, prefix) pair sets), min/OR folds (Lifespans),
-// sum/OR folds (Prevalence), and min-day first-sight tuples
-// (ChurnAttribution since its commutative reformulation). An analyzer
-// that inspects transitions between consecutive observations at
-// Observe time would not.
-func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T)) {
+// completion-order delivery (analyze -unordered), the planner's fused
+// mode, and adopting a replica by swap (see registration.adopt): the
+// planner checks Commutative() before choosing either mode. Analyzers
+// whose state is a pure set- or lattice-fold qualify: set-shaped dedup
+// (UserCentric's and IPCentric's (user, prefix) pair sets), min/OR
+// folds (Lifespans), sum/OR folds (Prevalence), and min-day first-sight
+// tuples (ChurnAttribution since its commutative reformulation). An
+// analyzer that inspects transitions between consecutive observations
+// at Observe time would not.
+//
+// The analyzer must be a pointer to a struct that may be copied by
+// value: adopting a replica swaps the primary's and the replica's
+// structs (see AnalyzerSet.Fold and FanOut.Close).
+func AddCommutativeAnalyzer[U any, T interface {
+	*U
+	Observer
+}](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T)) {
 	AddCommutativeAnalyzerFiltered(s, primary, mk, fold, nil)
 }
 
@@ -102,9 +125,15 @@ func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, 
 // order-insensitivity declaration of AddCommutativeAnalyzer. The
 // filter runs on worker goroutines and must be pure; a pure filter
 // preserves commutativity (it only thins the multiset).
-func AddCommutativeAnalyzerFiltered[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T), filter func(telemetry.Observation) bool) {
+func AddCommutativeAnalyzerFiltered[U any, T interface {
+	*U
+	Observer
+}](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T), filter func(telemetry.Observation) bool) {
 	AddAnalyzerFiltered(s, primary, mk, fold, filter)
-	s.regs[len(s.regs)-1].commutative = true
+	s.regs[len(s.regs)-1].swap = func(replica Observer) {
+		r := replica.(T)
+		*primary, *r = *r, *primary
+	}
 }
 
 // Commutative reports whether every registered analyzer was declared
@@ -122,7 +151,7 @@ func (s *AnalyzerSet) Commutative() bool {
 func (s *AnalyzerSet) NonCommutative() []string {
 	var out []string
 	for i := range s.regs {
-		if !s.regs[i].commutative {
+		if s.regs[i].swap == nil {
 			out = append(out, s.regs[i].name)
 		}
 	}
@@ -176,25 +205,38 @@ func (r *Replica) Observe(o telemetry.Observation) {
 func (r *Replica) Emit() telemetry.EmitFunc { return r.Observe }
 
 // Fold merges the replicas' state into the set's primaries, in argument
-// order. Exactness matches the analyzers' Merge contracts: user-disjoint
-// replicas fold exactly for every analyzer; arbitrary splits are exact
-// for the set-algebraic ones (see ChurnAttribution.Merge).
+// order. The first replica is adopted: a commutative registration swaps
+// it in instead of copying it (see registration.adopt). Exactness
+// matches the analyzers' Merge contracts: user-disjoint replicas fold
+// exactly for every analyzer; arbitrary splits are exact for the
+// set-algebraic ones (see ChurnAttribution.Merge). Fold consumes the
+// replicas: their state afterwards is unspecified.
 func (s *AnalyzerSet) Fold(replicas ...*Replica) {
-	for _, r := range replicas {
+	for i, r := range replicas {
 		for j, rep := range r.obs {
-			s.regs[j].fold(rep)
+			if i == 0 {
+				s.regs[j].adopt(rep)
+			} else {
+				s.regs[j].fold(rep)
+			}
 		}
 	}
 }
 
-// WorkerPanicError reports a panic recovered on a pipeline worker.
+// WorkerPanicError reports a panic recovered on a pipeline worker or a
+// fan-out analyzer goroutine. For the fan-out, Worker is the
+// registration index and Analyzer the registration's type name.
 type WorkerPanicError struct {
-	Worker int
-	Value  any
-	Stack  []byte
+	Worker   int
+	Analyzer string
+	Value    any
+	Stack    []byte
 }
 
 func (e *WorkerPanicError) Error() string {
+	if e.Analyzer != "" {
+		return fmt.Sprintf("core: analyzer %d (%s) panicked: %v", e.Worker, e.Analyzer, e.Value)
+	}
 	return fmt.Sprintf("core: analysis pipeline worker %d panicked: %v", e.Worker, e.Value)
 }
 

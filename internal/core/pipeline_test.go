@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -102,8 +103,8 @@ func TestFullSetCommutative(t *testing.T) {
 }
 
 // TestPipelineMatchesSequential is the core equality guarantee: for
-// every analyzer, a pipeline run over any worker count produces exactly
-// the state a sequential feed produces.
+// every analyzer, a pipeline run over any worker count, and a fan-out
+// run, produce exactly the state a sequential feed produces.
 func TestPipelineMatchesSequential(t *testing.T) {
 	stream := pipelineStream()
 	const ref = simtime.Day(7)
@@ -113,70 +114,92 @@ func TestPipelineMatchesSequential(t *testing.T) {
 		seqSet.Observe(o)
 	}
 
-	for _, workers := range []int{1, 3, 8} {
+	pipeline := func(workers int) func(*AnalyzerSet) error {
+		return func(set *AnalyzerSet) error {
+			pipe := set.NewPipeline(workers)
+			pipe.ObserveBatch(stream)
+			return pipe.Close()
+		}
+	}
+	runs := []struct {
+		name string
+		feed func(*AnalyzerSet) error
+	}{
+		{"pipeline workers=1", pipeline(1)},
+		{"pipeline workers=3", pipeline(3)},
+		{"pipeline workers=8", pipeline(8)},
+		{"fan-out", func(set *AnalyzerSet) error {
+			fan := set.NewFanOut()
+			defer fan.Abort()
+			for lo := 0; lo < len(stream); lo += telemetry.DefaultBlockRecords {
+				if err := fan.ObserveBatch(context.Background(), stream[lo:min(lo+telemetry.DefaultBlockRecords, len(stream))]); err != nil {
+					return err
+				}
+			}
+			return fan.Close()
+		}},
+	}
+	for _, run := range runs {
 		set, uc, ic, churn, life, prev := fullSet(ref)
-		pipe := set.NewPipeline(workers)
-		pipe.ObserveBatch(stream)
-		if err := pipe.Close(); err != nil {
+		if err := run.feed(set); err != nil {
 			t.Fatal(err)
 		}
-
 		if uc.Users() != suc.Users() {
-			t.Fatalf("workers=%d: UserCentric users %d, want %d", workers, uc.Users(), suc.Users())
+			t.Fatalf("%s: UserCentric users %d, want %d", run.name, uc.Users(), suc.Users())
 		}
 		for _, fam := range []netaddr.Family{netaddr.IPv4, netaddr.IPv6} {
 			if !reflect.DeepEqual(uc.AddrsPerUser(fam), suc.AddrsPerUser(fam)) {
-				t.Fatalf("workers=%d: AddrsPerUser(%v) differs", workers, fam)
+				t.Fatalf("%s: AddrsPerUser(%v) differs", run.name, fam)
 			}
 		}
 		if !reflect.DeepEqual(uc.PrefixSpans([]int{44, 64}), suc.PrefixSpans([]int{44, 64})) {
-			t.Fatalf("workers=%d: PrefixSpans differ", workers)
+			t.Fatalf("%s: PrefixSpans differ", run.name)
 		}
 		if !reflect.DeepEqual(uc.TopUsersByAddrs(netaddr.IPv6, 10), suc.TopUsersByAddrs(netaddr.IPv6, 10)) {
-			t.Fatalf("workers=%d: TopUsersByAddrs differ", workers)
+			t.Fatalf("%s: TopUsersByAddrs differ", run.name)
 		}
 		if !reflect.DeepEqual(uc.AddrPatterns(), suc.AddrPatterns()) {
-			t.Fatalf("workers=%d: AddrPatterns differ", workers)
+			t.Fatalf("%s: AddrPatterns differ", run.name)
 		}
 
 		if ic.Prefixes() != sic.Prefixes() {
-			t.Fatalf("workers=%d: IPCentric prefixes %d, want %d", workers, ic.Prefixes(), sic.Prefixes())
+			t.Fatalf("%s: IPCentric prefixes %d, want %d", run.name, ic.Prefixes(), sic.Prefixes())
 		}
 		if !reflect.DeepEqual(ic.UsersPerPrefix(), sic.UsersPerPrefix()) {
-			t.Fatalf("workers=%d: UsersPerPrefix differs", workers)
+			t.Fatalf("%s: UsersPerPrefix differs", run.name)
 		}
 		if !reflect.DeepEqual(ic.TopPrefixes(5), sic.TopPrefixes(5)) {
-			t.Fatalf("workers=%d: TopPrefixes differ", workers)
+			t.Fatalf("%s: TopPrefixes differ", run.name)
 		}
 		if !reflect.DeepEqual(ic.AbusivePerAbusivePrefix(), sic.AbusivePerAbusivePrefix()) {
-			t.Fatalf("workers=%d: AbusivePerAbusivePrefix differs", workers)
+			t.Fatalf("%s: AbusivePerAbusivePrefix differs", run.name)
 		}
 
 		if churn.Breakdown() != schurn.Breakdown() {
-			t.Fatalf("workers=%d: churn %+v, want %+v", workers, churn.Breakdown(), schurn.Breakdown())
+			t.Fatalf("%s: churn %+v, want %+v", run.name, churn.Breakdown(), schurn.Breakdown())
 		}
 
 		if life.Pairs() != slife.Pairs() {
-			t.Fatalf("workers=%d: lifespan pairs %d, want %d", workers, life.Pairs(), slife.Pairs())
+			t.Fatalf("%s: lifespan pairs %d, want %d", run.name, life.Pairs(), slife.Pairs())
 		}
 		if !reflect.DeepEqual(life.AgeHist(netaddr.IPv6, 128), slife.AgeHist(netaddr.IPv6, 128)) {
-			t.Fatalf("workers=%d: AgeHist differs", workers)
+			t.Fatalf("%s: AgeHist differs", run.name)
 		}
 		if !reflect.DeepEqual(life.MedianAgePerUser(netaddr.IPv6, 64), slife.MedianAgePerUser(netaddr.IPv6, 64)) {
-			t.Fatalf("workers=%d: MedianAgePerUser differs", workers)
+			t.Fatalf("%s: MedianAgePerUser differs", run.name)
 		}
 		if !reflect.DeepEqual(life.FreshShares(netaddr.IPv6), slife.FreshShares(netaddr.IPv6)) {
-			t.Fatalf("workers=%d: FreshShares differ", workers)
+			t.Fatalf("%s: FreshShares differ", run.name)
 		}
 
 		if !reflect.DeepEqual(prev.Daily(), sprev.Daily()) {
-			t.Fatalf("workers=%d: Daily differs", workers)
+			t.Fatalf("%s: Daily differs", run.name)
 		}
 		if !reflect.DeepEqual(prev.TopASNs(1, 0, nil), sprev.TopASNs(1, 0, nil)) {
-			t.Fatalf("workers=%d: TopASNs differ", workers)
+			t.Fatalf("%s: TopASNs differ", run.name)
 		}
 		if !reflect.DeepEqual(prev.TopCountries(1, 0), sprev.TopCountries(1, 0)) {
-			t.Fatalf("workers=%d: TopCountries differ", workers)
+			t.Fatalf("%s: TopCountries differ", run.name)
 		}
 	}
 }

@@ -27,9 +27,12 @@ const (
 	// ID, preserving per-user stream order — exact for every analyzer,
 	// commutative or not.
 	ModePipeline
-	// ModeFused gives each decode worker a private replica of every
-	// analyzer, fed inline from the blocks it decodes, folded once at
-	// the end. Exact only for commutative sets.
+	// ModeFused decodes on a worker pool and delivers blocks in stream
+	// order to a FanOut: one goroutine per analyzer, each feeding its
+	// own replica the whole stream, adopted into the primary by a struct
+	// swap at the end, so there is no fold of partial states. The
+	// planner picks it only for commutative sets, whose registrations
+	// carry the swap.
 	ModeFused
 	// ModeUnordered delivers batches in completion order into a replica
 	// pool. Exact only for commutative sets.
@@ -165,7 +168,7 @@ func (s *AnalyzerSet) Plan(in PlanInput) (Plan, error) {
 			break
 		}
 		p.Mode = ModeFused
-		p.Why = "every analyzer declares a commutative Merge: decode workers feed worker-local replicas, folded once"
+		p.Why = "every analyzer declares a commutative Merge: decode workers deliver blocks in order to one goroutine per analyzer, whose replicas are adopted by swap"
 	}
 	return p, nil
 }

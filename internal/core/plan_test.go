@@ -10,12 +10,12 @@ import (
 
 type nopObserver struct{}
 
-func (nopObserver) Observe(telemetry.Observation) {}
+func (*nopObserver) Observe(telemetry.Observation) {}
 
 func commutativeSet() *AnalyzerSet {
 	s := NewAnalyzerSet()
-	AddCommutativeAnalyzer(s, nopObserver{}, func() nopObserver { return nopObserver{} },
-		func(into, from nopObserver) {})
+	AddCommutativeAnalyzer(s, &nopObserver{}, func() *nopObserver { return &nopObserver{} },
+		func(into, from *nopObserver) {})
 	return s
 }
 

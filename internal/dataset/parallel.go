@@ -185,7 +185,7 @@ func (pr *ParallelReader) ForEachBatch(ctx context.Context, fn func(Batch) error
 // scanLabeled and workerLabeled attach pprof goroutine labels so CPU
 // and goroutine profiles attribute time by pipeline stage and worker:
 // stage=scan for the frame scanner, stage=decode for pool workers that
-// only decode, stage=decode+analyze for fused ForEachWorker workers.
+// only decode, stage=decode+analyze for ForEachWorker workers.
 func scanLabeled(body func()) {
 	pprof.Do(context.Background(), pprof.Labels("stage", "scan"),
 		func(context.Context) { body() })
@@ -501,7 +501,7 @@ func (e *WorkerPanicError) Error() string {
 	return fmt.Sprintf("dataset: ForEachWorker worker %d panicked: %v", e.Worker, e.Value)
 }
 
-// ForEachWorker is the fused consumption mode: newWorker is called
+// ForEachWorker is the per-worker consumption mode: newWorker is called
 // serially (worker 0 first, before any goroutine starts) to build one
 // callback per decode worker, and each worker then invokes its own
 // callback inline on every block it decodes — no ordered-delivery

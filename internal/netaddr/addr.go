@@ -291,10 +291,14 @@ func (a Addr) Bit(i int) byte {
 
 // Prefix is an address plus a prefix length: a subnet. The address is
 // stored in canonical (masked) form, so Prefix values are comparable:
-// two Prefixes are equal iff they denote the same subnet.
+// two Prefixes are equal iff they denote the same subnet. The address
+// words are stored flat, not as an Addr, so that the family and the
+// length share one padded word: a Prefix is 24 bytes, and the
+// analyzers' map keys built from it hash as one contiguous run.
 type Prefix struct {
-	addr Addr
-	bits uint8
+	hi, lo uint64
+	family Family
+	bits   uint8
 }
 
 // PrefixFrom returns the prefix of a at length bits, with the address
@@ -309,7 +313,8 @@ func PrefixFrom(a Addr, bits int) Prefix {
 	if max := a.Bits(); bits > max {
 		bits = max
 	}
-	return Prefix{addr: a.mask(bits), bits: uint8(bits)}
+	m := a.mask(bits)
+	return Prefix{hi: m.hi, lo: m.lo, family: m.family, bits: uint8(bits)}
 }
 
 // ParsePrefix parses CIDR notation ("2001:db8::/48", "192.0.2.0/24").
@@ -339,35 +344,35 @@ func MustParsePrefix(s string) Prefix {
 }
 
 // IsValid reports whether p is a real prefix (not the zero value).
-func (p Prefix) IsValid() bool { return p.addr.IsValid() }
+func (p Prefix) IsValid() bool { return p.family != Invalid }
 
 // Addr returns the canonical (masked) base address of the prefix.
-func (p Prefix) Addr() Addr { return p.addr }
+func (p Prefix) Addr() Addr { return Addr{hi: p.hi, lo: p.lo, family: p.family} }
 
 // Bits returns the prefix length.
 func (p Prefix) Bits() int { return int(p.bits) }
 
 // Family returns the prefix's address family.
-func (p Prefix) Family() Family { return p.addr.family }
+func (p Prefix) Family() Family { return p.family }
 
 // Contains reports whether the prefix contains address a. Addresses of a
 // different family are never contained.
 func (p Prefix) Contains(a Addr) bool {
-	if a.family != p.addr.family {
+	if a.family != p.family {
 		return false
 	}
-	return a.mask(int(p.bits)) == p.addr
+	return a.mask(int(p.bits)) == p.Addr()
 }
 
 // Overlaps reports whether p and q share any address.
 func (p Prefix) Overlaps(q Prefix) bool {
-	if p.addr.family != q.addr.family {
+	if p.family != q.family {
 		return false
 	}
 	if p.bits > q.bits {
 		p, q = q, p
 	}
-	return q.addr.mask(int(p.bits)) == p.addr
+	return q.Addr().mask(int(p.bits)) == p.Addr()
 }
 
 // Parent returns the prefix one bit shorter, or p itself at length 0.
@@ -375,7 +380,7 @@ func (p Prefix) Parent() Prefix {
 	if p.bits == 0 {
 		return p
 	}
-	return PrefixFrom(p.addr, int(p.bits)-1)
+	return PrefixFrom(p.Addr(), int(p.bits)-1)
 }
 
 // String formats the prefix in CIDR notation.
@@ -383,7 +388,7 @@ func (p Prefix) String() string {
 	if !p.IsValid() {
 		return "invalid"
 	}
-	return p.addr.String() + "/" + strconv.Itoa(int(p.bits))
+	return p.Addr().String() + "/" + strconv.Itoa(int(p.bits))
 }
 
 // Subnet returns the idx-th subnet of length newLen within p, wrapping
@@ -394,7 +399,8 @@ func (p Prefix) Subnet(newLen int, idx uint64) Prefix {
 	if !p.IsValid() {
 		return Prefix{}
 	}
-	maxBits := p.addr.Bits()
+	a := p.Addr()
+	maxBits := a.Bits()
 	if newLen > maxBits {
 		newLen = maxBits
 	}
@@ -403,12 +409,11 @@ func (p Prefix) Subnet(newLen int, idx uint64) Prefix {
 	}
 	width := newLen - int(p.bits)
 	if width == 0 {
-		return PrefixFrom(p.addr, newLen)
+		return PrefixFrom(a, newLen)
 	}
 	if width < 64 {
 		idx &= 1<<width - 1
 	}
-	a := p.addr
 	if a.family == IPv4 {
 		v := uint32(a.lo) | uint32(idx)<<(32-newLen)
 		return PrefixFrom(AddrFrom4(v), newLen)

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseAddrV4(t *testing.T) {
@@ -211,6 +212,14 @@ func TestPrefixCanonicalization(t *testing.T) {
 		if !p.Contains(a) {
 			t.Errorf("%s should contain %s", p, a)
 		}
+	}
+}
+
+// Prefix is a hot map key in the analyzers: its family and length must
+// share one padded word rather than each taking their own.
+func TestPrefixSize(t *testing.T) {
+	if got := unsafe.Sizeof(Prefix{}); got != 24 {
+		t.Fatalf("Prefix is %d bytes, want 24", got)
 	}
 }
 

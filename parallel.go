@@ -227,18 +227,18 @@ func (s *Sim) AnalyzeDatasetParallel(ctx context.Context, path string, workers i
 }
 
 // AnalyzeDatasetFused replays a dataset file through an AnalyzerSet on
-// the fused fast path: each decode worker owns a private Replica of
-// every registered analyzer and feeds it directly from the block it
-// just decoded — no ordered-delivery heap, no hash router, no
-// cross-goroutine record handoff at all. The replicas fold into the
-// set's primaries once, when the whole stream has been consumed; on
-// error (including a recovered worker panic, surfaced as a
-// *dataset.WorkerPanicError) the primaries are left unfolded. The path
-// is exact only when every registered analyzer declared a commutative
-// Merge, so a set that does not report Commutative() falls back to
-// the hash-routed pipeline, which preserves per-user order. tolerant
-// selects the salvage read; the returned report then covers what the
-// results describe, otherwise the intact stream.
+// the fused fast path: workers goroutines decode blocks, which are
+// delivered in stream order to one goroutine per registered analyzer
+// (core.FanOut). Each goroutine feeds its own replica the whole stream,
+// and on success each replica is adopted into its primary by a struct
+// swap, so there is no fold of partial states. On error (including a
+// recovered analyzer panic, surfaced as a *core.WorkerPanicError naming
+// the analyzer) the primaries are left untouched. The planner picks
+// this path only when every registered analyzer declared a commutative
+// Merge, so a set that does not report Commutative() falls back to the
+// hash-routed pipeline. tolerant selects the salvage read; the returned
+// report then covers what the results describe, otherwise the intact
+// stream.
 func (s *Sim) AnalyzeDatasetFused(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
 	return analyzeFileAs(ctx, path, workers, set, tolerant, core.RequestFused)
 }
@@ -264,9 +264,9 @@ func (s *Sim) Fig2Parallel(shards int) AddrsPerUserResult {
 	set := core.NewAnalyzerSet()
 	mkUC := func() *core.UserCentric { return core.NewUserCentricFor(false) }
 	week := mkUC()
-	core.AddAnalyzer(set, week, mkUC, (*core.UserCentric).Merge)
+	core.AddCommutativeAnalyzer(set, week, mkUC, (*core.UserCentric).Merge)
 	day := mkUC()
-	core.AddAnalyzerFiltered(set, day, mkUC, (*core.UserCentric).Merge,
+	core.AddCommutativeAnalyzerFiltered(set, day, mkUC, (*core.UserCentric).Merge,
 		func(o telemetry.Observation) bool { return o.Day == to })
 
 	// Background context never cancels, so the only possible error is a
@@ -290,7 +290,7 @@ func (s *Sim) IPCentricParallel(fam netaddr.Family, length, shards int) *core.IP
 	set := core.NewAnalyzerSet()
 	mk := func() *core.IPCentric { return core.NewIPCentric(fam, length) }
 	out := mk()
-	core.AddAnalyzer(set, out, mk, (*core.IPCentric).Merge)
+	core.AddCommutativeAnalyzer(set, out, mk, (*core.IPCentric).Merge)
 	if err := s.AnalyzeParallelCtx(context.Background(), from, to, shards, set, true); err != nil {
 		panic(err)
 	}
