@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # analysis hot paths, checked against bench/BENCH_baseline.json (3x
 # tripwire on PRs; the nightly run re-gates the same set at 1.3x with
 # real -benchtime sampling).
-BENCH_GATE = ^(BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkRollup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzeSequential|BenchmarkAnalyzeParallel|BenchmarkAnalyzeFused|BenchmarkAnalyzeUnordered|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze)$$
+BENCH_GATE = ^(BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkRollup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze)$$
 BENCH_PKGS = . ./internal/telemetry ./internal/trie ./internal/core
 NIGHTLY_BENCHTIME = 2s
 FUZZ_TARGETS = \
@@ -59,13 +59,25 @@ faults:
 
 # Fused-path race gate: the fused decode+analyze path (ordered decode
 # into one goroutine per analyzer, all default analyzers), the core
-# fan-out consumer and swap adoption, completion-order delivery, the
-# ForEachWorker reader primitives, and direct manifest analysis (one
-# fan-out shared across parts) under the race detector.
+# fan-out consumer and swap adoption, the ForEachWorker reader
+# primitives, and direct manifest analysis (one fan-out shared across
+# parts) under the race detector. Each name below is one -run
+# alternative; the target first fails if any alternative matches no
+# test in FUSED_RACE_PKGS, so a rename cannot silently shrink the gate.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
+FUSED_RACE_TESTS = TestAnalyzeFused TestForEachWorker TestAnalyzeSourceParityMatrix \
+	TestAnalyzeManifestTolerantCorruptPart TestFanOut TestFoldSwapPrimaryHeldState TestPipelineMatchesSequential
+FUSED_RACE_PKGS = . ./internal/dataset ./internal/core
+empty :=
+space := $(empty) $(empty)
+FUSED_RACE_RUN = $(subst $(space),|,$(strip $(FUSED_RACE_TESTS)))
 fused-race:
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestAnalyzeDatasetUnordered|TestForEachWorker|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart|TestFanOut|TestFoldSwapPrimaryHeldState|TestPipelineMatchesSequential' . ./internal/dataset ./internal/core
+	@listed=$$($(GO) test -list '$(FUSED_RACE_RUN)' $(FUSED_RACE_PKGS)) || { echo "$$listed"; exit 1; }; \
+	for t in $(FUSED_RACE_TESTS); do \
+		echo "$$listed" | grep -q -- "$$t" || { echo "fused-race: -run alternative $$t matches no test in $(FUSED_RACE_PKGS)"; exit 1; }; \
+	done
+	$(GO) test -race $(FAULTS_FLAGS) -run '$(FUSED_RACE_RUN)' $(FUSED_RACE_PKGS)
 
 # Short native-fuzz smoke over every decoder fuzz target: catches
 # panics and typed-error regressions without a long campaign.

@@ -5,12 +5,11 @@ package userv6
 // merged file, a sharded export's manifest, a bare part list), a
 // core.Plan picks the execution mode, and AnalyzeSource runs the plan:
 // per part, decode workers fan out exactly as they would over a single
-// file, and the analyzers' consumers persist across parts, which
-// ordered modes see one after another in manifest order. Because a
-// sharded export's parts cover disjoint user ranges, replicas fold
-// across parts exactly like generation shards — so analyzing a
-// manifest directly is byte-identical to merging it first and
-// analyzing the merged file, minus the merge.
+// file, and the analyzers' consumers persist across parts, seeing them
+// one after another in manifest order. That is the stream a merge of
+// the parts would write, so analyzing a manifest directly is
+// byte-identical to merging it first and analyzing the merged file,
+// minus the merge.
 
 import (
 	"context"
@@ -24,54 +23,38 @@ import (
 
 // AnalyzeOptions configures one analysis run over a Source.
 type AnalyzeOptions struct {
-	// Workers is the decode/analysis pool size: <= 0 means GOMAXPROCS,
-	// 1 means explicitly single-threaded (under ModeAuto that selects
-	// the sequential reference path).
+	// Workers is the decode pool size: <= 0 means GOMAXPROCS, 1 selects
+	// the sequential reference path, anything else the fused path.
 	Workers int
 	// Tolerant selects the salvage read on every part: corrupt blocks
 	// are skipped and the returned report says what the results
 	// describe. Strict mode additionally verifies each part's declared
 	// whole-file checksum (when the source carries one) before reading.
 	Tolerant bool
-	// Mode is the requested execution mode; core.RequestAuto picks the
-	// fastest exact one.
-	Mode core.ModeRequest
 }
 
 // PlanSource resolves the execution plan for analyzing src with set
 // under opts, without running anything — the CLI's -explain flag, and
-// the first half of AnalyzeSource.
+// the first half of AnalyzeSource. The plan depends only on opts and
+// the source's part count, so the error is always nil and set is
+// unused; the signature matches AnalyzeSource's.
 func PlanSource(src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) (core.Plan, error) {
-	caps := src.Caps()
-	return set.Plan(core.PlanInput{
-		Request:       opts.Mode,
-		Workers:       opts.Workers,
-		Tolerant:      opts.Tolerant,
-		Parts:         caps.PartCount,
-		SeekableParts: caps.SeekableParts,
-		Codec:         caps.Codec,
-	})
+	return planFor(src, opts), nil
+}
+
+func planFor(src dataset.Source, opts AnalyzeOptions) core.Plan {
+	return core.NewPlan(core.PlanInput{Workers: opts.Workers, Tolerant: opts.Tolerant, Parts: len(src.Parts())})
 }
 
 // AnalyzeSource plans and runs one analysis pass over src, populating
 // set's primaries. The returned report aggregates per-part read
 // coverage (blocks, records, per-codec block counts) across the whole
 // source; for a manifest it matches what a merge-then-analyze of the
-// same parts would report. On error the primaries are left unfolded
-// for every parallel mode (the sequential mode feeds them directly,
-// like the sequential reader always has).
+// same parts would report. On error the fused mode leaves the
+// primaries untouched (the sequential mode feeds them directly, like
+// the sequential reader always has).
 func AnalyzeSource(ctx context.Context, src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) (telemetry.SalvageReport, error) {
-	plan, err := PlanSource(src, set, opts)
-	if err != nil {
-		return telemetry.SalvageReport{}, err
-	}
-	return ExecutePlan(ctx, src, set, plan)
-}
-
-// Analyze is AnalyzeSource as a Sim method, for symmetry with the
-// generation-side entry points.
-func (s *Sim) Analyze(ctx context.Context, src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) (telemetry.SalvageReport, error) {
-	return AnalyzeSource(ctx, src, set, opts)
+	return ExecutePlan(ctx, src, set, planFor(src, opts))
 }
 
 // ExecutePlan runs an already-resolved plan over src. Callers normally
@@ -124,12 +107,11 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 		return nil
 	}
 	// readParts streams every part, in order, through fn, then checks
-	// its coverage. Unordered delivery invokes fn concurrently from the
-	// decode workers.
-	readParts := func(unordered bool, fn func(dataset.Batch) error) error {
+	// its coverage.
+	readParts := func(fn func(dataset.Batch) error) error {
 		for i, path := range parts {
 			pr, err := dataset.OpenParallel(path, dataset.ParallelOptions{
-				Workers: plan.Workers, Tolerant: plan.Tolerant, Unordered: unordered,
+				Workers: plan.Workers, Tolerant: plan.Tolerant,
 			})
 			if err != nil {
 				return err
@@ -150,33 +132,15 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 	case core.ModeSequential:
 		// One decode worker, ordered delivery, primaries fed directly
 		// from the delivery goroutine: the reference semantics of the
-		// sequential reader with the same coverage accounting as every
-		// other mode.
-		err := readParts(false, func(b dataset.Batch) error {
+		// sequential reader with the same coverage accounting as the
+		// fused mode.
+		err := readParts(func(b dataset.Batch) error {
 			for _, o := range b.Recs {
 				set.Observe(o)
 			}
 			return nil
 		})
 		if err != nil {
-			return zero, err
-		}
-
-	case core.ModePipeline:
-		// One hash router shared across every part: per-user order holds
-		// within a part, and parts don't interleave users (disjoint
-		// ranges), so the routed stream is order-equivalent to the merged
-		// file. Abort on error so a partial run never folds.
-		pipe := set.NewPipeline(plan.Workers)
-		defer pipe.Abort()
-		err := readParts(false, func(b dataset.Batch) error {
-			pipe.ObserveBatch(b.Recs)
-			return nil
-		})
-		if err != nil {
-			return zero, err
-		}
-		if err := pipe.Close(); err != nil {
 			return zero, err
 		}
 
@@ -187,7 +151,7 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 		// Abort on error so the primaries stay untouched.
 		fan := set.NewFanOut()
 		defer fan.Abort()
-		err := readParts(false, func(b dataset.Batch) error {
+		err := readParts(func(b dataset.Batch) error {
 			return fan.ObserveBatch(ctx, b.Recs)
 		})
 		if err != nil {
@@ -196,29 +160,6 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 		if err := fan.Close(); err != nil {
 			return zero, err
 		}
-
-	case core.ModeUnordered:
-		// One replica channel pool shared across parts; batches from any
-		// part land on whichever replica is free — exact because the
-		// planner only emits this mode for commutative sets.
-		replicas := make([]*core.Replica, plan.Workers)
-		pool := make(chan *core.Replica, plan.Workers)
-		for i := range replicas {
-			replicas[i] = set.NewReplica()
-			pool <- replicas[i]
-		}
-		err := readParts(true, func(b dataset.Batch) error {
-			r := <-pool
-			for _, o := range b.Recs {
-				r.Observe(o)
-			}
-			pool <- r
-			return nil
-		})
-		if err != nil {
-			return zero, err
-		}
-		set.Fold(replicas...)
 
 	default:
 		return zero, fmt.Errorf("userv6: unknown execution mode %v", plan.Mode)

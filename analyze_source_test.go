@@ -1,7 +1,7 @@
 package userv6
 
 // Parity matrix for the source/plan/execute stack: every source shape
-// (merged file, manifest, bare part list) under every execution mode,
+// (merged file, manifest, bare part list) under both execution modes,
 // strict and tolerant, must produce analyzer state identical to the
 // sequential replay of the merged file — and analyzing a manifest
 // directly must account coverage exactly like merging it first.
@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"userv6/internal/core"
 	"userv6/internal/dataset"
 	"userv6/internal/telemetry"
 )
@@ -52,7 +51,7 @@ func sequentialBaseline(t *testing.T, path string) analyzeSet {
 }
 
 // TestAnalyzeSourceParityMatrix sweeps source {file, manifest, parts} ×
-// mode {sequential, pipeline, fused, unordered} × {strict, tolerant}
+// mode {sequential (one worker), fused (four)} × {strict, tolerant}
 // against the merged-file sequential baseline. Inputs are intact here;
 // damage is TestAnalyzeManifestTolerantCorruptPart's job.
 func TestAnalyzeSourceParityMatrix(t *testing.T) {
@@ -74,13 +73,11 @@ func TestAnalyzeSourceParityMatrix(t *testing.T) {
 		{"parts", func() (dataset.Source, error) { return dataset.NewPartsSource(partPaths...) }},
 	}
 	modes := []struct {
-		name string
-		req  core.ModeRequest
+		name    string
+		workers int
 	}{
-		{"seq", core.RequestSequential},
-		{"pipeline", core.RequestPipeline},
-		{"fused", core.RequestFused},
-		{"unordered", core.RequestUnordered},
+		{"seq", 1},
+		{"fused", 4},
 	}
 
 	for _, srcCase := range sources {
@@ -94,7 +91,7 @@ func TestAnalyzeSourceParityMatrix(t *testing.T) {
 					}
 					got := newAnalyzeSet()
 					rep, err := AnalyzeSource(context.Background(), src, got.set,
-						AnalyzeOptions{Workers: 4, Tolerant: tolerant, Mode: mode.req})
+						AnalyzeOptions{Workers: mode.workers, Tolerant: tolerant})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -154,21 +151,22 @@ func TestAnalyzeManifestTolerantCorruptPart(t *testing.T) {
 		wantRecords += cov.Records
 	}
 
-	for _, mode := range []core.ModeRequest{core.RequestSequential, core.RequestPipeline, core.RequestFused, core.RequestUnordered} {
+	for _, workers := range []int{1, 4} {
 		src, err := dataset.OpenManifestSource(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := newAnalyzeSet()
 		rep, err := AnalyzeSource(context.Background(), src, got.set,
-			AnalyzeOptions{Workers: 4, Tolerant: true, Mode: mode})
+			AnalyzeOptions{Workers: workers, Tolerant: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.assertEqual(t, base, mode.String())
+		label := fmt.Sprintf("workers=%d", workers)
+		got.assertEqual(t, base, label)
 		if rep.Blocks != wantBlocks || rep.CorruptBlocks != wantCorrupt || rep.Records != wantRecords {
 			t.Fatalf("%s: aggregated coverage %+v, want %d blocks / %d corrupt / %d records (merge per-part sums)",
-				mode, rep, wantBlocks, wantCorrupt, wantRecords)
+				label, rep, wantBlocks, wantCorrupt, wantRecords)
 		}
 	}
 
@@ -179,8 +177,7 @@ func TestAnalyzeManifestTolerantCorruptPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	strict := newAnalyzeSet()
-	_, err = AnalyzeSource(context.Background(), src, strict.set,
-		AnalyzeOptions{Workers: 4, Mode: core.RequestFused})
+	_, err = AnalyzeSource(context.Background(), src, strict.set, AnalyzeOptions{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), man.Parts[0].Name) {
 		t.Fatalf("strict analysis of corrupted part: err = %v, want checksum mismatch naming %s", err, man.Parts[0].Name)
 	}
@@ -233,9 +230,9 @@ func TestAnalyzeManifestAggregatesCodecBlocks(t *testing.T) {
 	}
 }
 
-// Sim.Analyze and the AnalyzeDataset* wrappers are the same machinery;
-// spot-check the Sim entry point over a manifest.
-func TestSimAnalyzeManifest(t *testing.T) {
+// An export directory resolved by OpenSource and analyzed with zero
+// options (all CPUs, strict) must match the merged-file baseline.
+func TestAnalyzeManifestDefaultOptions(t *testing.T) {
 	users := 500
 	sim := NewSim(DefaultScenario(users))
 	dir, merged, _ := exportShardedWeek(t, sim, users)
@@ -249,8 +246,8 @@ func TestSimAnalyzeManifest(t *testing.T) {
 		t.Fatalf("OpenSource(%q) resolved to %s, want manifest", dir, src.Kind())
 	}
 	got := newAnalyzeSet()
-	if _, err := sim.Analyze(context.Background(), src, got.set, AnalyzeOptions{}); err != nil {
+	if _, err := AnalyzeSource(context.Background(), src, got.set, AnalyzeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got.assertEqual(t, base, "Sim.Analyze(manifest)")
+	got.assertEqual(t, base, "AnalyzeSource(manifest dir)")
 }

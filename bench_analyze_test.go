@@ -1,7 +1,7 @@
 package userv6
 
-// Benchmarks for the block-parallel analysis engine: sequential dataset
-// replay versus the parallel decode + analyzer fan-out, over the same
+// Benchmarks for the analysis engine: sequential dataset replay versus
+// the fused path (parallel decode + analyzer fan-out), over the same
 // file and the same registered analyzers. The two names land side by
 // side in the bench artifact so the speedup ratio is recorded per run.
 
@@ -61,50 +61,16 @@ func BenchmarkAnalyzeSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallel runs the same replay through the
-// block-parallel pipeline: concurrent block decode + CRC, user-hash
-// routed analyzer workers, merge on close.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	path := writeBenchDataset(b)
-	sim := getBenchSim()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetParallel(context.Background(), path, benchAnalyzeWorkers, s.set, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeFused runs the replay on the fused fast path: the
-// decode workers are the analyzer workers, each feeding a worker-local
-// replica with no ordered-delivery heap, no hash router, and no
-// cross-goroutine record handoff; one fold at the end.
+// BenchmarkAnalyzeFused runs the replay through AnalyzeSource on the
+// fused path: blocks decoded on the worker pool are delivered in order
+// to one goroutine per analyzer, whose replicas are adopted by swap.
 func BenchmarkAnalyzeFused(b *testing.B) {
 	path := writeBenchDataset(b)
-	sim := getBenchSim()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetFused(context.Background(), path, benchAnalyzeWorkers, s.set, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeUnordered runs the replay with completion-order batch
-// delivery into a channel pool of analyzer replicas — one cross-
-// goroutine handoff per batch, against the fused path's zero.
-func BenchmarkAnalyzeUnordered(b *testing.B) {
-	path := writeBenchDataset(b)
-	sim := getBenchSim()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetUnordered(context.Background(), path, benchAnalyzeWorkers, s.set, false); err != nil {
+		if _, err := analyzeFile(context.Background(), path, benchAnalyzeWorkers, s.set, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +114,6 @@ func BenchmarkAnalyzeManifest(b *testing.B) {
 // fused engine over the merged output.
 func BenchmarkAnalyzeMergeAnalyze(b *testing.B) {
 	dir := writeBenchShardedExport(b)
-	sim := getBenchSim()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -157,7 +122,7 @@ func BenchmarkAnalyzeMergeAnalyze(b *testing.B) {
 			b.Fatal(err)
 		}
 		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetFused(context.Background(), merged, benchAnalyzeWorkers, s.set, false); err != nil {
+		if _, err := analyzeFile(context.Background(), merged, benchAnalyzeWorkers, s.set, false); err != nil {
 			b.Fatal(err)
 		}
 	}

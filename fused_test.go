@@ -3,9 +3,9 @@ package userv6
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"userv6/internal/core"
@@ -43,21 +43,27 @@ func writeAnalyzeDataset(t *testing.T, sim *Sim, users int) string {
 	return path
 }
 
+// analyzeFile runs AnalyzeSource over one dataset file.
+func analyzeFile(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
+	src, err := dataset.NewFileSource(path)
+	if err != nil {
+		return telemetry.SalvageReport{}, err
+	}
+	return AnalyzeSource(ctx, src, set, AnalyzeOptions{Workers: workers, Tolerant: tolerant})
+}
+
 // The fused path — blocks decoded on a pool, delivered in order to one
 // goroutine per analyzer, replicas adopted by swap — must reproduce a
-// sequential replay exactly for every analyzer in the (fully
-// commutative) default set, at any worker count, in strict and tolerant
-// mode. Run under -race this is also the data-race proof for the whole
-// fused pipeline.
-func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
+// sequential replay exactly for every analyzer in the default set, in
+// strict and tolerant mode; workers=1 runs the sequential plan over
+// the same reader for comparison. Run under -race this is also the
+// data-race proof for the whole fused pipeline.
+func TestAnalyzeFusedMatchesSequential(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
 	path := writeAnalyzeDataset(t, sim, users)
 
 	seq := newAnalyzeSet()
-	if !seq.set.Commutative() {
-		t.Fatal("default analyzer set must be commutative")
-	}
 	r, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +75,11 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		fused := newAnalyzeSet()
-		rep, err := sim.AnalyzeDatasetFused(context.Background(), path, workers, fused.set, false)
+		rep, err := analyzeFile(context.Background(), path, workers, fused.set, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused.assertEqual(t, seq, "fused strict")
+		fused.assertEqual(t, seq, fmt.Sprintf("workers=%d strict", workers))
 		if rep.Records == 0 || rep.CorruptBlocks != 0 {
 			t.Fatalf("workers=%d: strict report %+v", workers, rep)
 		}
@@ -96,7 +102,7 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tfused := newAnalyzeSet()
-	frep, err := sim.AnalyzeDatasetFused(context.Background(), bad, 4, tfused.set, true)
+	frep, err := analyzeFile(context.Background(), bad, 4, tfused.set, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,83 +110,8 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 	if !frep.Equal(srep.Stream) {
 		t.Fatalf("tolerant coverage %+v, want %+v", frep, srep.Stream)
 	}
-}
-
-// AnalyzeDatasetUnordered (completion-order delivery into a replica
-// pool) must also reproduce the sequential replay on the default set.
-func TestAnalyzeDatasetUnorderedMatchesSequential(t *testing.T) {
-	users := fusedTestUsers()
-	sim := NewSim(DefaultScenario(users))
-	path := writeAnalyzeDataset(t, sim, users)
-
-	seq := newAnalyzeSet()
-	r, err := dataset.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ForEach(seq.set.Emit()); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-
-	un := newAnalyzeSet()
-	rep, err := sim.AnalyzeDatasetUnordered(context.Background(), path, 4, un.set, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	un.assertEqual(t, seq, "unordered")
-	if rep.Records == 0 {
-		t.Fatalf("unordered report %+v", rep)
-	}
-}
-
-// orderBound is an analyzer that never declares commutativity; it
-// stands in for genuinely order-sensitive accumulation.
-type orderBound struct{ last uint64 }
-
-func (o *orderBound) Observe(ob telemetry.Observation) { o.last = ob.UserID }
-
-// A set containing a non-commutative registration must silently fall
-// back to the hash-routed pipeline (per-user order preserved), still
-// matching the sequential replay; the unordered path must instead
-// refuse, naming the offending registration.
-func TestAnalyzeDatasetFusedNonCommutativeFallback(t *testing.T) {
-	users := fusedTestUsers()
-	sim := NewSim(DefaultScenario(users))
-	path := writeAnalyzeDataset(t, sim, users)
-
-	seq := newAnalyzeSet()
-	core.AddAnalyzer(seq.set, &orderBound{},
-		func() *orderBound { return &orderBound{} },
-		func(into, from *orderBound) {})
-	r, err := dataset.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ForEach(seq.set.Emit()); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-
-	mixed := newAnalyzeSet()
-	core.AddAnalyzer(mixed.set, &orderBound{},
-		func() *orderBound { return &orderBound{} },
-		func(into, from *orderBound) {})
-	if mixed.set.Commutative() {
-		t.Fatal("orderBound registration must veto commutativity")
-	}
-	if _, err := sim.AnalyzeDatasetFused(context.Background(), path, 4, mixed.set, false); err != nil {
-		t.Fatal(err)
-	}
-	mixed.assertEqual(t, seq, "fused fallback")
-
-	refuse := newAnalyzeSet()
-	core.AddAnalyzer(refuse.set, &orderBound{},
-		func() *orderBound { return &orderBound{} },
-		func(into, from *orderBound) {})
-	_, err = sim.AnalyzeDatasetUnordered(context.Background(), path, 4, refuse.set, false)
-	if err == nil || !strings.Contains(err.Error(), "*userv6.orderBound") {
-		t.Fatalf("unordered on non-commutative set: err = %v, want offender named", err)
+	if frep.CorruptBlocks != 1 {
+		t.Fatalf("expected 1 corrupt block, got %+v", frep)
 	}
 }
 
@@ -197,7 +128,7 @@ func (b *bombAnalyzer) Observe(telemetry.Observation) {
 // A panic inside a fused analyzer goroutine's replica must surface as a
 // typed *core.WorkerPanicError naming the analyzer and leave the set's
 // primaries untouched — no partial adoption masquerading as a result.
-func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
+func TestAnalyzeFusedWorkerPanic(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
 	path := writeAnalyzeDataset(t, sim, users)
@@ -206,10 +137,7 @@ func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
 	core.AddCommutativeAnalyzer(s.set, &bombAnalyzer{},
 		func() *bombAnalyzer { return &bombAnalyzer{} },
 		func(into, from *bombAnalyzer) {})
-	if !s.set.Commutative() {
-		t.Fatal("bomb set must stay commutative so the fused path engages")
-	}
-	_, err := sim.AnalyzeDatasetFused(context.Background(), path, 4, s.set, false)
+	_, err := analyzeFile(context.Background(), path, 4, s.set, false)
 	var pe *core.WorkerPanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *core.WorkerPanicError, got %v", err)
@@ -238,7 +166,7 @@ func (c *cancelAnalyzer) Observe(telemetry.Observation) { c.cancel() }
 // while the first block is analyzed; the reader can be at most one
 // fan-out queue (a few blocks) ahead of it, well short of the end of
 // the file.
-func TestAnalyzeDatasetFusedCancelMidPart(t *testing.T) {
+func TestAnalyzeFusedCancelMidPart(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
 	path := writeAnalyzeDataset(t, sim, users)
@@ -249,7 +177,7 @@ func TestAnalyzeDatasetFusedCancelMidPart(t *testing.T) {
 	core.AddCommutativeAnalyzer(s.set, &cancelAnalyzer{},
 		func() *cancelAnalyzer { return &cancelAnalyzer{cancel: cancel} },
 		func(into, from *cancelAnalyzer) {})
-	_, err := sim.AnalyzeDatasetFused(ctx, path, 2, s.set, false)
+	_, err := analyzeFile(ctx, path, 2, s.set, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

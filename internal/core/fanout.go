@@ -4,10 +4,10 @@ package core
 // registration, each owning a fresh replica, and hands every batch to
 // every goroutine in stream order. Each replica therefore sees exactly
 // the stream a sequential feed would, so no two large states ever need
-// merging: Close adopts each replica into its primary, which for a
-// commutative registration is a struct swap. The parallelism is across
-// analyzers rather than across blocks, so the speedup is bounded by the
-// slowest analyzer's share of the Observe work.
+// merging: Close adopts each replica into its primary by a struct
+// swap. The parallelism is across analyzers rather than across blocks,
+// so the speedup is bounded by the slowest analyzer's share of the
+// Observe work.
 
 import (
 	"context"

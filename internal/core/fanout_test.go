@@ -21,7 +21,7 @@ func (r *streamRecorder) Observe(o telemetry.Observation) { r.seen = append(r.se
 
 func addRecorder(set *AnalyzerSet, filter func(telemetry.Observation) bool) *streamRecorder {
 	r := &streamRecorder{}
-	AddAnalyzerFiltered(set, r, func() *streamRecorder { return &streamRecorder{} },
+	AddCommutativeAnalyzerFiltered(set, r, func() *streamRecorder { return &streamRecorder{} },
 		func(into, from *streamRecorder) { into.seen = append(into.seen, from.seen...) }, filter)
 	return r
 }
@@ -82,16 +82,16 @@ func TestFanOutDeliversSequentialStream(t *testing.T) {
 }
 
 // A panicking analyzer must surface as a typed error naming it, leave
-// every primary untouched (commutative ones are not swapped), and leave
-// no goroutine behind.
+// every primary untouched (none is swapped), and leave no goroutine
+// behind.
 func TestFanOutPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
 	set := NewAnalyzerSet()
 	uc := NewUserCentricFor(false)
 	AddCommutativeAnalyzer(set, uc, func() *UserCentric { return NewUserCentricFor(false) }, (*UserCentric).Merge)
-	AddAnalyzer(set, &panicAnalyzer{at: 17},
+	AddCommutativeAnalyzer(set, &panicAnalyzer{at: 17},
 		func() *panicAnalyzer { return &panicAnalyzer{at: 17} },
-		func(into, from *panicAnalyzer) { into.merge(from) })
+		func(into, from *panicAnalyzer) {})
 	rec := addRecorder(set, nil)
 
 	fan := set.NewFanOut()
@@ -141,7 +141,7 @@ func TestFanOutCancelMidPart(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	set := NewAnalyzerSet()
 	rec := addRecorder(set, nil)
-	AddAnalyzer(set, &blockingObserver{},
+	AddCommutativeAnalyzer(set, &blockingObserver{},
 		func() *blockingObserver { return &blockingObserver{started: started, release: release} },
 		func(into, from *blockingObserver) {})
 
@@ -171,6 +171,33 @@ func TestFanOutCancelMidPart(t *testing.T) {
 		t.Fatalf("primary adopted %d observations after an aborted run", len(rec.seen))
 	}
 	waitGoroutines(t, before)
+}
+
+// countAnalyzer counts what it observes.
+type countAnalyzer struct{ n int }
+
+func (c *countAnalyzer) Observe(telemetry.Observation) { c.n++ }
+
+// A second Close must return nil without adopting again: the primary
+// keeps the first adoption's state and its fold runs exactly once.
+func TestFanOutCloseIdempotent(t *testing.T) {
+	set := NewAnalyzerSet()
+	primary, folds := &countAnalyzer{}, 0
+	AddCommutativeAnalyzer(set, primary, func() *countAnalyzer { return &countAnalyzer{} },
+		func(into, from *countAnalyzer) { into.n += from.n; folds++ })
+	fan := set.NewFanOut()
+	if err := fan.ObserveBatch(context.Background(), pipelineStream()[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fan.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fan.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if primary.n != 10 || folds != 1 {
+		t.Fatalf("after two Closes: primary observed %d, fold ran %d times; want 10 and 1", primary.n, folds)
+	}
 }
 
 // Adopting by swap must stay exact when the primary already held state:

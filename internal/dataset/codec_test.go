@@ -2,12 +2,10 @@ package dataset
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"userv6/internal/telemetry"
@@ -53,25 +51,11 @@ func TestDatasetCompressedRoundTrip(t *testing.T) {
 	sameRecords(t, readParallel(t, packed, ParallelOptions{Workers: 4}), obs)
 	sameRecords(t, readParallel(t, packed, ParallelOptions{Workers: 4, Tolerant: true}), obs)
 
-	pr, err := OpenParallel(packed, ParallelOptions{Workers: 4, Unordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	var mu sync.Mutex
-	var unordered []telemetry.Observation
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		mu.Lock()
-		unordered = append(unordered, b.Recs...)
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	perWorker := readFused(t, packed, ParallelOptions{Workers: 4})
 	want := append([]telemetry.Observation{}, obs...)
-	sortObs(unordered)
+	sortObs(perWorker)
 	sortObs(want)
-	sameRecords(t, unordered, want)
+	sameRecords(t, perWorker, want)
 }
 
 func TestCreateRejectsUnknownCodec(t *testing.T) {

@@ -4,9 +4,9 @@ package dataset
 // checksummed, independently decodable blocks are the natural unit of
 // parallelism: a single goroutine performs the sequential disk I/O
 // (frame scanning), a worker pool verifies checksums and decodes
-// records, and batches are delivered either in exact stream order (for
-// byte-exact tooling and order-sensitive analyzers) or as they complete
-// (for commutative consumers). Tolerant reads — the salvage path that
+// records, and batches are delivered in exact stream order (ForEach,
+// ForEachBatch) or consumed on the decode workers themselves
+// (ForEachWorker). Tolerant reads — the salvage path that
 // skips corrupt blocks and reports coverage — go through the same pool.
 
 import (
@@ -30,12 +30,6 @@ import (
 type ParallelOptions struct {
 	// Workers is the decode pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Unordered delivers batches as workers finish them instead of in
-	// stream order, and invokes the callback concurrently from the
-	// worker goroutines. Only consumers whose accumulation is
-	// commutative (and whose callback is safe for concurrent use)
-	// should opt in; everything else wants the default ordered mode.
-	Unordered bool
 	// Tolerant switches to the salvage read path: corrupt blocks are
 	// skipped instead of failing the read, and Coverage reports what
 	// fraction of the stream the delivered records describe. The whole
@@ -134,7 +128,7 @@ func (pr *ParallelReader) Coverage() (telemetry.SalvageReport, bool) {
 // finishStrict sums the per-goroutine block counts of a successful
 // strict read into the reader's coverage. An empty stream still reports
 // as v2: there is nothing to contradict the newest format.
-func (pr *ParallelReader) finishStrict(reports []telemetry.SalvageReport) {
+func (pr *ParallelReader) finishStrict(reports ...telemetry.SalvageReport) {
 	var total telemetry.SalvageReport
 	for i := range reports {
 		total.Add(reports[i])
@@ -151,9 +145,6 @@ func (pr *ParallelReader) Close() error { return pr.f.Close() }
 // ForEach streams every record through fn in exact stream order, like
 // Reader.ForEach, with decode parallelized across the pool.
 func (pr *ParallelReader) ForEach(fn telemetry.EmitFunc) error {
-	if pr.opts.Unordered {
-		return errors.New("dataset: ForEach requires ordered delivery (use ForEachBatch for unordered reads)")
-	}
 	return pr.ForEachBatch(context.Background(), func(b Batch) error {
 		for _, o := range b.Recs {
 			fn(o)
@@ -163,12 +154,10 @@ func (pr *ParallelReader) ForEach(fn telemetry.EmitFunc) error {
 }
 
 // ForEachBatch decodes the stream through the worker pool and delivers
-// each block's records to fn. In ordered mode (the default) fn is
-// invoked from the calling goroutine, one batch at a time, in stream
-// order — a strict-mode corrupt-block error surfaces only after every
-// block before it has been delivered, exactly like the sequential
-// reader. In unordered mode fn is invoked concurrently from the worker
-// goroutines in completion order. A non-nil error from fn cancels the
+// each block's records to fn, invoked from the calling goroutine, one
+// batch at a time, in stream order — a strict-mode corrupt-block error
+// surfaces only after every block before it has been delivered, exactly
+// like the sequential reader. A non-nil error from fn cancels the
 // read and is returned. The reader is single-use: a second call
 // returns an error.
 func (pr *ParallelReader) ForEachBatch(ctx context.Context, fn func(Batch) error) error {
@@ -197,9 +186,8 @@ func workerLabeled(stage string, w int, body func()) {
 }
 
 // result is one decoded block (or a positioned error) on its way from
-// the pool to delivery. In unordered mode only errors flow through.
-// codec and cksum carry the block's stored codec and frame version so
-// ordered delivery can count strict-mode coverage.
+// the pool to delivery. codec and cksum carry the block's stored codec
+// and frame version so delivery can count strict-mode coverage.
 type result struct {
 	idx   int
 	recs  []telemetry.Observation
@@ -277,13 +265,10 @@ func (pr *ParallelReader) runStrict(ctx context.Context, fn func(Batch) error) e
 		}
 	})
 
-	// Workers: CRC verify + codec decode; in unordered mode they also
-	// deliver. Each worker keeps its own decompression scratch, so a
-	// compressed stream decodes with zero steady-state allocations and
-	// the LZ work parallelizes with the rest of the block decode.
-	// reports[w] counts worker w's unordered deliveries (ordered
-	// delivery counts in deliver, at reports[Workers]).
-	reports := make([]telemetry.SalvageReport, pr.opts.Workers+1)
+	// Workers: CRC verify + codec decode. Each worker keeps its own
+	// decompression scratch, so a compressed stream decodes with zero
+	// steady-state allocations and the LZ work parallelizes with the
+	// rest of the block decode.
 	var wg sync.WaitGroup
 	for w := 0; w < pr.opts.Workers; w++ {
 		wg.Add(1)
@@ -295,16 +280,6 @@ func (pr *ParallelReader) runStrict(ctx context.Context, fn func(Batch) error) e
 					recs, sc, err := blk.AppendDecoded(bufs.getRecs(), scratch)
 					scratch = sc
 					bufs.putPayload(blk.Payload)
-					if err == nil && pr.opts.Unordered {
-						n := len(recs)
-						err = fn(Batch{Index: blk.Index, Recs: recs})
-						bufs.putRecs(recs)
-						if err == nil {
-							reports[w].RecordBlock(blk.Codec, blk.Checksummed(), n)
-							continue
-						}
-						recs = nil
-					}
 					if err != nil {
 						recs = nil
 					}
@@ -323,7 +298,8 @@ func (pr *ParallelReader) runStrict(ctx context.Context, fn func(Batch) error) e
 		close(results)
 	}()
 
-	if err := pr.deliver(cancel, results, fn, &bufs, &reports[pr.opts.Workers]); err != nil {
+	var rep telemetry.SalvageReport
+	if err := pr.deliver(cancel, results, fn, &bufs, &rep); err != nil {
 		return err
 	}
 	// deliver only cancels after recording an error, so a cancelled
@@ -331,9 +307,7 @@ func (pr *ParallelReader) runStrict(ctx context.Context, fn func(Batch) error) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Workers have been joined (results closed), so every per-worker
-	// report happens-before this sum.
-	pr.finishStrict(reports)
+	pr.finishStrict(rep)
 	return nil
 }
 
@@ -389,17 +363,8 @@ func (pr *ParallelReader) runTolerant(ctx context.Context, fn func(Batch) error)
 			workerLabeled("decode", w, func() {
 				for j := range jobs {
 					recs := telemetry.AppendRecords(bufs.getRecs(), j.payload)
-					var err error
-					if pr.opts.Unordered {
-						err = fn(Batch{Index: j.idx, Recs: recs})
-						bufs.putRecs(recs)
-						if err == nil {
-							continue
-						}
-						recs = nil
-					}
 					select {
-					case results <- result{idx: j.idx, recs: recs, err: err}:
+					case results <- result{idx: j.idx, recs: recs}:
 					case <-ctx.Done():
 						return
 					}
@@ -428,13 +393,12 @@ func (pr *ParallelReader) runTolerant(ctx context.Context, fn func(Batch) error)
 	return nil
 }
 
-// deliver consumes results until the pool drains. Ordered mode holds
-// out-of-order blocks back until their predecessors have been handed to
-// fn; unordered mode only watches for errors (delivery already happened
-// in the workers). On the first error it cancels the pipeline and keeps
-// draining so no goroutine is left blocked on a send. A non-nil rep
-// counts each successfully delivered block (strict ordered reads;
-// tolerant reads take their coverage from the salvage scan instead).
+// deliver consumes results until the pool drains, holding out-of-order
+// blocks back until their predecessors have been handed to fn. On the
+// first error it cancels the pipeline and keeps draining so no
+// goroutine is left blocked on a send. A non-nil rep counts each
+// successfully delivered block (strict reads; tolerant reads take their
+// coverage from the salvage scan instead).
 func (pr *ParallelReader) deliver(cancel context.CancelFunc, results <-chan result, fn func(Batch) error, bufs *pools, rep *telemetry.SalvageReport) error {
 	var (
 		firstErr error
@@ -448,16 +412,7 @@ func (pr *ParallelReader) deliver(cancel context.CancelFunc, results <-chan resu
 		}
 	}
 	for r := range results {
-		if r.err != nil {
-			if pr.opts.Unordered || firstErr != nil {
-				fail(r.err)
-				continue
-			}
-			// Ordered: the error waits its turn like any block.
-		}
-		if pr.opts.Unordered {
-			continue
-		}
+		// An error waits its turn like any block.
 		held[r.idx] = r
 		for {
 			h, ok := held[next]
@@ -509,12 +464,11 @@ func (e *WorkerPanicError) Error() string {
 // arbitrary order and their record slices are recycled as soon as the
 // callback returns. A given callback is only ever invoked from its own
 // worker goroutine, so worker-local state needs no locking, while the
-// serial factory phase may freely touch shared state. The Unordered
-// option is irrelevant here (delivery is inherently unordered);
-// Tolerant selects the salvage scan and fills Coverage on success. The
-// first decode or callback error cancels the read and is returned; a
-// callback panic is recovered and returned as a *WorkerPanicError. The
-// reader is single-use, like ForEachBatch.
+// serial factory phase may freely touch shared state. Tolerant selects
+// the salvage scan and fills Coverage on success. The first decode or
+// callback error cancels the read and is returned; a callback panic is
+// recovered and returned as a *WorkerPanicError. The reader is
+// single-use, like ForEachBatch.
 func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(worker int) func(Batch) error) error {
 	if pr.consumed {
 		return errors.New("dataset: stream already consumed")
@@ -623,7 +577,7 @@ func (pr *ParallelReader) workerStrict(ctx context.Context, fns []func(Batch) er
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	pr.finishStrict(reports)
+	pr.finishStrict(reports...)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 
 	"userv6/internal/telemetry"
@@ -109,33 +108,6 @@ func TestParallelReaderBatchIndexesOrdered(t *testing.T) {
 	if next != 5 {
 		t.Fatalf("saw %d batches, want 5", next)
 	}
-}
-
-func TestParallelReaderUnorderedMultisetEqual(t *testing.T) {
-	in := sample(5000)
-	path := writeDataset(t, in)
-	want := readSequential(t, path)
-
-	pr, err := OpenParallel(path, ParallelOptions{Workers: 4, Unordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	var (
-		mu  sync.Mutex
-		got []telemetry.Observation
-	)
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		mu.Lock()
-		got = append(got, b.Recs...) // Observation is a value; append copies
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sortObs(got)
-	sortObs(want)
-	sameRecords(t, got, want)
 }
 
 func TestParallelReaderRawStream(t *testing.T) {
@@ -276,69 +248,24 @@ func TestParallelReaderTolerantMatchesSalvage(t *testing.T) {
 	}
 }
 
-func TestParallelReaderTolerantUnordered(t *testing.T) {
+func TestParallelReaderCallbackError(t *testing.T) {
 	path := writeDataset(t, sample(5000))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[headerSize+4+16+50] ^= 0x04 // corrupt block 0
-	bad := filepath.Join(t.TempDir(), "bad.uv6")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var want []telemetry.Observation
-	wantRep, err := Salvage(bad, func(o telemetry.Observation) { want = append(want, o) })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pr, err := OpenParallel(bad, ParallelOptions{Workers: 4, Unordered: true, Tolerant: true})
+	boom := errors.New("boom")
+	pr, err := OpenParallel(path, ParallelOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	var (
-		mu  sync.Mutex
-		got []telemetry.Observation
-	)
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		mu.Lock()
-		got = append(got, b.Recs...)
-		mu.Unlock()
+	calls := 0
+	err = pr.ForEachBatch(context.Background(), func(Batch) error {
+		calls++
+		if calls == 2 {
+			return boom
+		}
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rep, ok := pr.Coverage(); !ok || !rep.Equal(wantRep.Stream) {
-		t.Fatalf("coverage %+v (ok=%v), want %+v", rep, ok, wantRep.Stream)
-	}
-	sortObs(got)
-	sortObs(want)
-	sameRecords(t, got, want)
-}
-
-func TestParallelReaderCallbackError(t *testing.T) {
-	path := writeDataset(t, sample(5000))
-	boom := errors.New("boom")
-	for _, unordered := range []bool{false, true} {
-		pr, err := OpenParallel(path, ParallelOptions{Workers: 4, Unordered: unordered})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls := 0
-		err = pr.ForEachBatch(context.Background(), func(Batch) error {
-			calls++
-			if calls == 2 {
-				return boom
-			}
-			return nil
-		})
-		pr.Close()
-		if !errors.Is(err, boom) {
-			t.Fatalf("unordered=%v: want callback error, got %v", unordered, err)
-		}
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("want callback error, got %v", err)
 	}
 }
 
@@ -374,17 +301,5 @@ func TestParallelReaderSingleUse(t *testing.T) {
 	}
 	if err := pr.ForEach(func(telemetry.Observation) {}); err == nil {
 		t.Fatal("ForEach after consume must fail")
-	}
-}
-
-func TestParallelReaderUnorderedForEachRejected(t *testing.T) {
-	path := writeDataset(t, sample(100))
-	pr, err := OpenParallel(path, ParallelOptions{Unordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	if err := pr.ForEach(func(telemetry.Observation) {}); err == nil {
-		t.Fatal("ForEach must reject unordered mode")
 	}
 }

@@ -5,9 +5,8 @@ package dataset
 // merged .uv6 file, a sharded export's manifest.uv6m plus parts, or a
 // bare list of part files. A Source names the parts, carries whatever
 // expectations the container format declares (per-part user ranges,
-// codecs, whole-file checksums from a manifest), and reports its
-// capabilities so the planner can pick an execution mode without
-// knowing which concrete shape it was handed.
+// codecs, whole-file checksums from a manifest), so the executor can
+// run any of them without knowing which concrete shape it was handed.
 
 import (
 	"encoding/json"
@@ -18,22 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 )
-
-// SourceCaps describes what a Source can promise the planner and the
-// executor.
-type SourceCaps struct {
-	// PartCount is the number of independent part streams. A plain file
-	// counts as one part.
-	PartCount int
-	// SeekableParts reports whether every part is an independently
-	// openable file (true for all current sources; a future remote
-	// manifest union may stream).
-	SeekableParts bool
-	// Codec is the declared compression policy when every part agrees
-	// on one ("" when unknown or mixed). The executor cross-checks the
-	// per-part declarations individually; this is the summary view.
-	Codec string
-}
 
 // Source is one logical telemetry corpus: an ordered set of part files
 // plus whatever the container declares about them. Parts are analyzed
@@ -52,8 +35,6 @@ type Source interface {
 	// known (false for headerless raw streams and bare part lists with
 	// no parseable header).
 	Meta() (Meta, bool)
-	// Caps reports the source's capabilities for planning.
-	Caps() SourceCaps
 }
 
 // probeMeta parses a dataset file's header without consuming the
@@ -107,9 +88,6 @@ func (s *FileSource) Kind() string                  { return "file" }
 func (s *FileSource) Parts() []string               { return []string{s.path} }
 func (s *FileSource) Expected(int) (PartInfo, bool) { return PartInfo{}, false }
 func (s *FileSource) Meta() (Meta, bool)            { return s.meta, s.hasMeta }
-func (s *FileSource) Caps() SourceCaps {
-	return SourceCaps{PartCount: 1, SeekableParts: true, Codec: s.meta.Codec}
-}
 
 // ManifestSource is a sharded export addressed by its manifest: part
 // paths resolve relative to the manifest file, and the manifest's
@@ -165,19 +143,6 @@ func (s *ManifestSource) Meta() (Meta, bool) {
 	return m, true
 }
 
-func (s *ManifestSource) Caps() SourceCaps {
-	caps := SourceCaps{PartCount: len(s.parts), SeekableParts: true}
-	for i, p := range s.man.Parts {
-		if i == 0 {
-			caps.Codec = p.Codec
-		} else if caps.Codec != p.Codec {
-			caps.Codec = "" // mixed declarations: no summary policy
-			break
-		}
-	}
-	return caps
-}
-
 // Manifest exposes the parsed manifest for tools that report per-part
 // detail (verify, merge planning).
 func (s *ManifestSource) Manifest() *Manifest { return s.man }
@@ -216,9 +181,6 @@ func (s *PartsSource) Kind() string                  { return "parts" }
 func (s *PartsSource) Parts() []string               { return s.parts }
 func (s *PartsSource) Expected(int) (PartInfo, bool) { return PartInfo{}, false }
 func (s *PartsSource) Meta() (Meta, bool)            { return s.meta, s.hasMeta }
-func (s *PartsSource) Caps() SourceCaps {
-	return SourceCaps{PartCount: len(s.parts), SeekableParts: true}
-}
 
 // OpenSource resolves a user-supplied path to the right source shape:
 // a directory means "the sharded export in here" (manifest.uv6m

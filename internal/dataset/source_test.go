@@ -67,16 +67,12 @@ func TestOpenSourceResolution(t *testing.T) {
 	if src.Kind() != "file" || len(src.Parts()) != 1 {
 		t.Fatalf("OpenSource(part file): kind %s, %d parts", src.Kind(), len(src.Parts()))
 	}
-	caps := src.Caps()
-	if caps.PartCount != 1 || !caps.SeekableParts {
-		t.Fatalf("file caps %+v", caps)
-	}
 }
 
-// TestManifestSourceMetaAndCaps: Meta() carries the per-part record
-// total (the merged header's count), and Caps' summary codec collapses
-// to empty on mixed declarations.
-func TestManifestSourceMetaAndCaps(t *testing.T) {
+// TestManifestSourceMeta: Meta() carries the per-part record total
+// (the merged header's count), and Expected reports each part's own
+// codec declaration, mixed or not.
+func TestManifestSourceMeta(t *testing.T) {
 	dir := shardedDir(t)
 	src, err := OpenManifestSource(dir)
 	if err != nil {
@@ -86,8 +82,8 @@ func TestManifestSourceMetaAndCaps(t *testing.T) {
 	if !ok || meta.Records != src.Manifest().TotalRecords() || meta.Records == 0 {
 		t.Fatalf("manifest meta %+v (ok=%v), want records filled from parts", meta, ok)
 	}
-	if got, n := src.Caps(), len(src.Parts()); got.PartCount != n || !got.SeekableParts {
-		t.Fatalf("manifest caps %+v, want %d seekable parts", got, n)
+	if got, want := len(src.Parts()), len(src.Manifest().Parts); got != want {
+		t.Fatalf("manifest source lists %d parts, manifest declares %d", got, want)
 	}
 
 	mixed := shardedDir(t, "lz", "")
@@ -95,17 +91,10 @@ func TestManifestSourceMetaAndCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := ms.Caps().Codec; c != "" {
-		t.Fatalf("mixed-codec manifest summarizes codec %q, want none", c)
-	}
-
-	uniform := shardedDir(t, "lz", "lz")
-	us, err := OpenManifestSource(uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := us.Caps().Codec; c != "lz" {
-		t.Fatalf("uniform lz manifest summarizes codec %q", c)
+	for i, want := range []string{"lz", ""} {
+		if got, ok := ms.Expected(i); !ok || got.Codec != want {
+			t.Fatalf("mixed-codec manifest part %d declares codec %q (ok=%v), want %q", i, got.Codec, ok, want)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"userv6/internal/core"
-	"userv6/internal/dataset"
 	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
@@ -176,9 +175,8 @@ func (s *Sim) GenerateParallel(from, to simtime.Day, shards int, newConsumer fun
 // goroutines (0 means GOMAXPROCS). Each generation shard — a disjoint
 // user range — feeds a private replica of every registered analyzer, so
 // no analyzer state crosses goroutines; the replicas fold into the
-// set's primaries when every shard completes. User-disjoint sharding
-// makes the fold exact for every analyzer, even ones that withhold the
-// commutative declaration. The benign stream runs sharded;
+// set's primaries when every shard completes. The benign stream runs
+// sharded;
 // abusive telemetry (when includeAbusive is set) streams serially into
 // the folded primaries afterwards, mirroring Generate's ordering. On
 // error — cancellation or a *ShardPanicError — the set's primaries are
@@ -200,60 +198,6 @@ func (s *Sim) AnalyzeParallelCtx(ctx context.Context, from, to simtime.Day, shar
 		s.Abusive.Generate(from, to, set.Emit())
 	}
 	return nil
-}
-
-// analyzeFileAs wraps path as a FileSource and runs it under the
-// requested mode — the shared body of the historical AnalyzeDataset*
-// entry points, which are now thin shims over the source/plan/execute
-// stack (see analyze.go).
-func analyzeFileAs(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool, req core.ModeRequest) (telemetry.SalvageReport, error) {
-	src, err := dataset.NewFileSource(path)
-	if err != nil {
-		return telemetry.SalvageReport{}, err
-	}
-	return AnalyzeSource(ctx, src, set, AnalyzeOptions{Workers: workers, Tolerant: tolerant, Mode: req})
-}
-
-// AnalyzeDatasetParallel replays a dataset file through an AnalyzerSet
-// with both halves of the pipeline parallel: workers goroutines decode
-// and checksum-verify blocks (dataset.OpenParallel) while an equal pool
-// of analyzer workers consumes the records, routed by user hash
-// (AnalyzerSet.NewPipeline). tolerant switches to the salvage read path
-// and reports what fraction of the stream the results describe; in
-// strict mode the returned report covers the intact stream. The set's
-// primaries are only folded on success.
-func (s *Sim) AnalyzeDatasetParallel(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
-	return analyzeFileAs(ctx, path, workers, set, tolerant, core.RequestPipeline)
-}
-
-// AnalyzeDatasetFused replays a dataset file through an AnalyzerSet on
-// the fused fast path: workers goroutines decode blocks, which are
-// delivered in stream order to one goroutine per registered analyzer
-// (core.FanOut). Each goroutine feeds its own replica the whole stream,
-// and on success each replica is adopted into its primary by a struct
-// swap, so there is no fold of partial states. On error (including a
-// recovered analyzer panic, surfaced as a *core.WorkerPanicError naming
-// the analyzer) the primaries are left untouched. The planner picks
-// this path only when every registered analyzer declared a commutative
-// Merge, so a set that does not report Commutative() falls back to the
-// hash-routed pipeline. tolerant selects the salvage read; the returned
-// report then covers what the results describe, otherwise the intact
-// stream.
-func (s *Sim) AnalyzeDatasetFused(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
-	return analyzeFileAs(ctx, path, workers, set, tolerant, core.RequestFused)
-}
-
-// AnalyzeDatasetUnordered replays a dataset file with completion-order
-// batch delivery: the parallel reader's workers invoke the callback
-// concurrently as blocks finish decoding, and a channel of analyzer
-// replicas serves as the consumption pool. Unlike the fused path the
-// batch still crosses a goroutine boundary conceptually (any replica
-// may consume any block), which is exactly the property the
-// commutativity requirement covers — so instead of falling back, a
-// non-commutative set is an error naming the offending registrations.
-// The set's primaries are only folded on success.
-func (s *Sim) AnalyzeDatasetUnordered(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
-	return analyzeFileAs(ctx, path, workers, set, tolerant, core.RequestUnordered)
 }
 
 // Fig2Parallel computes the Figure 2 histograms using sharded
