@@ -60,15 +60,18 @@ faults:
 # Fused-path race gate: the fused decode+analyze path (ordered decode
 # into one goroutine per analyzer, all default analyzers), the core
 # fan-out consumer and swap adoption, the ForEachWorker reader
-# primitives, and direct manifest analysis (one fan-out shared across
-# parts) under the race detector. Each name below is one -run
+# primitives, direct manifest analysis (one fan-out shared across
+# parts), the per-user analyzer state's order and merge properties, and
+# the `userv6gen analyze` golden outputs at one and two workers, under
+# the race detector. Each name below is one -run
 # alternative; the target first fails if any alternative matches no
 # test in FUSED_RACE_PKGS, so a rename cannot silently shrink the gate.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 FUSED_RACE_TESTS = TestAnalyzeFused TestForEachWorker TestAnalyzeSourceParityMatrix \
-	TestAnalyzeManifestTolerantCorruptPart TestFanOut TestFoldSwapPrimaryHeldState TestPipelineMatchesSequential
-FUSED_RACE_PKGS = . ./internal/dataset ./internal/core
+	TestAnalyzeManifestTolerantCorruptPart TestFanOut TestFoldSwapPrimaryHeldState TestPipelineMatchesSequential \
+	TestUserStateOrderAndMerge TestKeyArena TestAnalyzeGolden
+FUSED_RACE_PKGS = . ./internal/dataset ./internal/core ./cmd/userv6gen
 empty :=
 space := $(empty) $(empty)
 FUSED_RACE_RUN = $(subst $(space),|,$(strip $(FUSED_RACE_TESTS)))

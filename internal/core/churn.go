@@ -1,7 +1,6 @@
 package core
 
 import (
-	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
 )
@@ -50,30 +49,32 @@ func (c ChurnCause) String() string {
 // full /128 address, its /64, and its /44 — only the earliest day of
 // contact is kept. Accumulation is therefore a pure min-fold: it is
 // invariant under observation order and under how the stream is
-// partitioned across replicas (Merge folds the maps by minimum), so
+// partitioned across replicas (Merge folds the tuples by minimum), so
 // the analyzer is safe to register with AddCommutativeAnalyzer and to
 // fold from arbitrary stream splits. Causes are not classified
 // during the stream at all; Breakdown derives them from the first-day
 // structure at query time.
+//
+// The tuples are held per user: three key lists (addresses, /64s and
+// /44s), each in its own arena, valued by the first day.
 type ChurnAttribution struct {
 	// Warmup days at the start of the stream establish per-user state
 	// without being counted (a pair is only "new" against history).
 	CountFrom simtime.Day
 
-	firstAddr map[pairKey]simtime.Day // (user, /128) -> earliest day seen
-	first64   map[pairKey]simtime.Day // (user, /64)  -> earliest day seen
-	first44   map[pairKey]simtime.Day // (user, /44)  -> earliest day seen
+	users                 userTable[churnUser]
+	addrs, nets64, nets44 keyArena[simtime.Day]
+}
+
+// churnUser is one user's first-sight lists.
+type churnUser struct {
+	addrs, nets64, nets44 keyList
 }
 
 // NewChurnAttribution counts new pairs from countFrom onward; earlier
 // days only build history.
 func NewChurnAttribution(countFrom simtime.Day) *ChurnAttribution {
-	return &ChurnAttribution{
-		CountFrom: countFrom,
-		firstAddr: make(map[pairKey]simtime.Day),
-		first64:   make(map[pairKey]simtime.Day),
-		first44:   make(map[pairKey]simtime.Day),
-	}
+	return &ChurnAttribution{CountFrom: countFrom}
 }
 
 // Observe feeds one observation (IPv6 only; others are ignored).
@@ -82,21 +83,25 @@ func (c *ChurnAttribution) Observe(o telemetry.Observation) {
 	if !o.Addr.Is6() {
 		return
 	}
-	addrKey := pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, 128)}
-	if cur, ok := c.firstAddr[addrKey]; ok && cur <= o.Day {
-		// Dominated sighting: the address was already seen on an
-		// earlier (or equal) day, so the /64 and /44 minima cannot
-		// improve either — they were set at least as early.
-		return
+	u := c.users.get(o.UserID)
+	hi, lo := o.Addr.Words()
+	if d, added := c.addrs.insert(&u.addrs, words{hi, lo}, o.Day); !added {
+		if *d <= o.Day {
+			// Dominated sighting: the address was already seen on an
+			// earlier (or equal) day, so the /64 and /44 minima cannot
+			// improve either — they were set at least as early.
+			return
+		}
+		*d = o.Day
 	}
-	c.firstAddr[addrKey] = o.Day
-	minDay(c.first64, pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, 64)}, o.Day)
-	minDay(c.first44, pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, 44)}, o.Day)
+	minDay(&c.nets64, &u.nets64, prefixWords(o.Addr, 64), o.Day)
+	minDay(&c.nets44, &u.nets44, prefixWords(o.Addr, 44), o.Day)
 }
 
-func minDay(m map[pairKey]simtime.Day, k pairKey, d simtime.Day) {
-	if cur, ok := m[k]; !ok || d < cur {
-		m[k] = d
+// minDay lowers k's first day in the list to d, adding k if absent.
+func minDay(a *keyArena[simtime.Day], l *keyList, k words, d simtime.Day) {
+	if cur, added := a.insert(l, k, d); !added && d < *cur {
+		*cur = d
 	}
 }
 
@@ -106,14 +111,18 @@ func minDay(m map[pairKey]simtime.Day, k pairKey, d simtime.Day) {
 // min is commutative, associative, and idempotent. Both analyzers must
 // use the same CountFrom.
 func (c *ChurnAttribution) Merge(other *ChurnAttribution) {
-	for k, d := range other.firstAddr {
-		minDay(c.firstAddr, k, d)
-	}
-	for k, d := range other.first64 {
-		minDay(c.first64, k, d)
-	}
-	for k, d := range other.first44 {
-		minDay(c.first44, k, d)
+	for j, uid := range other.users.uids {
+		ou := &other.users.state[j]
+		u := c.users.get(uid)
+		for _, s := range other.addrs.keys(&ou.addrs) {
+			minDay(&c.addrs, &u.addrs, s.k, s.v)
+		}
+		for _, s := range other.nets64.keys(&ou.nets64) {
+			minDay(&c.nets64, &u.nets64, s.k, s.v)
+		}
+		for _, s := range other.nets44.keys(&ou.nets44) {
+			minDay(&c.nets44, &u.nets44, s.k, s.v)
+		}
 	}
 }
 
@@ -155,40 +164,39 @@ func (b ChurnBreakdown) Share(cause ChurnCause) float64 {
 //     cohort, whose first opener is the NetworkSwitch and the rest are
 //     SubnetMoves.
 //
-// Which cohort member is "first" depends on map iteration order, but
-// only the labels move between identical-cause members — the tallies
-// are deterministic, equal to the sequential walk's for any feeding
-// order or partition.
+// Which cohort member is "first" depends on the order the user's
+// addresses were recorded in, but only the labels move between
+// identical-cause members — the tallies are deterministic, equal to the
+// sequential walk's for any feeding order or partition.
 func (c *ChurnAttribution) Breakdown() ChurnBreakdown {
 	var counts [3]uint64
-	opener64 := make(map[pairKey]struct{})
-	opener44 := make(map[pairKey]struct{})
-	for k, dAddr := range c.firstAddr {
-		if dAddr < c.CountFrom {
-			continue
+	// opened64 and opened44 mark, by position in the current user's
+	// /64 and /44 lists, the prefixes whose cohort opener was taken.
+	var opened64, opened44 []bool
+	for i := range c.users.state {
+		u := &c.users.state[i]
+		opened64 = append(opened64[:0], make([]bool, u.nets64.n)...)
+		opened44 = append(opened44[:0], make([]bool, u.nets44.n)...)
+		for _, s := range c.addrs.keys(&u.addrs) {
+			dAddr := s.v
+			if dAddr < c.CountFrom {
+				continue
+			}
+			a := s.k.addr6()
+			i64 := c.nets64.find(&u.nets64, prefixWords(a, 64))
+			if c.nets64.keys(&u.nets64)[i64].v < dAddr || opened64[i64] {
+				counts[IIDRotation]++
+				continue
+			}
+			opened64[i64] = true
+			i44 := c.nets44.find(&u.nets44, prefixWords(a, 44))
+			if c.nets44.keys(&u.nets44)[i44].v < dAddr || opened44[i44] {
+				counts[SubnetMove]++
+				continue
+			}
+			opened44[i44] = true
+			counts[NetworkSwitch]++
 		}
-		a := k.pfx.Addr()
-		k64 := pairKey{uid: k.uid, pfx: netaddr.PrefixFrom(a, 64)}
-		if c.first64[k64] < dAddr {
-			counts[IIDRotation]++
-			continue
-		}
-		if _, taken := opener64[k64]; taken {
-			counts[IIDRotation]++
-			continue
-		}
-		opener64[k64] = struct{}{}
-		k44 := pairKey{uid: k.uid, pfx: netaddr.PrefixFrom(a, 44)}
-		if c.first44[k44] < dAddr {
-			counts[SubnetMove]++
-			continue
-		}
-		if _, taken := opener44[k44]; taken {
-			counts[SubnetMove]++
-			continue
-		}
-		opener44[k44] = struct{}{}
-		counts[NetworkSwitch]++
 	}
 	return ChurnBreakdown{
 		IIDRotation:   counts[IIDRotation],

@@ -13,31 +13,35 @@ import (
 // one prefix length over its feeding window: the engine behind Figures
 // 7-10 and the §6 outlier analyses. Use length 32 for IPv4 addresses,
 // 128 for IPv6 addresses, or any IPv6 prefix length.
+//
+// Each user's distinct prefixes are a key list in one arena, each with
+// whether the user was abusive when first seen on it; a prefix new to
+// its user bumps that prefix's population by one.
 type IPCentric struct {
 	// Length is the aggregation prefix length; Family selects which
 	// observations are counted.
 	Length int
 	Family netaddr.Family
 
-	// seen maps each (user, prefix) pair to whether the entity is
-	// abusive — kept as a value (not struct{}) so shards can be merged.
-	seen     map[pairKey]bool
-	prefixes map[netaddr.Prefix]*prefixPop
+	users userTable[keyList]
+	keys  keyArena[bool]
+	// pops holds each prefix's population in order of first sight, and
+	// prefixes indexes it by the prefix's masked words (the family and
+	// length are the analyzer's).
+	pops     []prefixPop
+	prefixes map[words]int32
 }
 
-// prefixPop is one prefix's population tally.
+// prefixPop is one prefix, by its masked words, and its population
+// tally.
 type prefixPop struct {
+	k               words
 	benign, abusive uint32
 }
 
 // NewIPCentric returns an analyzer for one family and prefix length.
 func NewIPCentric(fam netaddr.Family, length int) *IPCentric {
-	return &IPCentric{
-		Length:   length,
-		Family:   fam,
-		seen:     make(map[pairKey]bool),
-		prefixes: make(map[netaddr.Prefix]*prefixPop),
-	}
+	return &IPCentric{Length: length, Family: fam}
 }
 
 // Observe feeds one observation.
@@ -45,45 +49,54 @@ func (ic *IPCentric) Observe(o telemetry.Observation) {
 	if o.Addr.Family() != ic.Family || ic.Length > o.Addr.Bits() {
 		return
 	}
-	p := netaddr.PrefixFrom(o.Addr, ic.Length)
-	key := pairKey{uid: o.UserID, pfx: p}
-	if _, dup := ic.seen[key]; dup {
-		return
-	}
-	ic.seen[key] = o.Abusive
-	pop := ic.prefixes[p]
-	if pop == nil {
-		pop = &prefixPop{}
-		ic.prefixes[p] = pop
-	}
-	if o.Abusive {
-		pop.abusive++
-	} else {
-		pop.benign++
+	k := prefixWords(o.Addr, ic.Length)
+	u := ic.users.get(o.UserID)
+	if _, added := ic.keys.insert(u, k, o.Abusive); added {
+		ic.count(k, o.Abusive)
 	}
 }
 
+// count adds one user, abusive or benign, to prefix k's population.
+func (ic *IPCentric) count(k words, abusive bool) {
+	i, ok := ic.prefixes[k]
+	if !ok {
+		if ic.prefixes == nil {
+			ic.prefixes = make(map[words]int32)
+		}
+		i = int32(len(ic.pops))
+		ic.prefixes[k] = i
+		ic.pops = push(ic.pops, prefixPop{k: k})
+	}
+	if abusive {
+		ic.pops[i].abusive++
+	} else {
+		ic.pops[i].benign++
+	}
+}
+
+// prefix converts a key back to the prefix it stands for.
+func (ic *IPCentric) prefix(k words) netaddr.Prefix {
+	a := k.addr6()
+	if ic.Family == netaddr.IPv4 {
+		a = netaddr.AddrFrom4(uint32(k.lo))
+	}
+	return netaddr.PrefixFrom(a, ic.Length)
+}
+
 // Prefixes returns the number of distinct prefixes observed.
-func (ic *IPCentric) Prefixes() int { return len(ic.prefixes) }
+func (ic *IPCentric) Prefixes() int { return len(ic.pops) }
 
 // Merge folds another analyzer's state into ic, deduplicating (user,
-// prefix) pairs. Both must use the same family and length. Merge enables
-// sharded parallel analysis.
+// prefix) pairs. Both must use the same family and length. Merge is
+// exact for any split of the stream, user-disjoint or not.
 func (ic *IPCentric) Merge(other *IPCentric) {
-	for key, abusive := range other.seen {
-		if _, dup := ic.seen[key]; dup {
-			continue
-		}
-		ic.seen[key] = abusive
-		pop := ic.prefixes[key.pfx]
-		if pop == nil {
-			pop = &prefixPop{}
-			ic.prefixes[key.pfx] = pop
-		}
-		if abusive {
-			pop.abusive++
-		} else {
-			pop.benign++
+	for j, uid := range other.users.uids {
+		ol := &other.users.state[j]
+		u := ic.users.get(uid)
+		for _, s := range other.keys.keys(ol) {
+			if _, added := ic.keys.insert(u, s.k, s.v); added {
+				ic.count(s.k, s.v)
+			}
 		}
 	}
 }
@@ -92,7 +105,7 @@ func (ic *IPCentric) Merge(other *IPCentric) {
 // per prefix (Figures 7 and 9).
 func (ic *IPCentric) UsersPerPrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
-	for _, pop := range ic.prefixes {
+	for _, pop := range ic.pops {
 		h.Add(int(pop.benign + pop.abusive))
 	}
 	return h
@@ -101,7 +114,7 @@ func (ic *IPCentric) UsersPerPrefix() *stats.IntHist {
 // BenignPerPrefix returns the histogram of benign users per prefix.
 func (ic *IPCentric) BenignPerPrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
-	for _, pop := range ic.prefixes {
+	for _, pop := range ic.pops {
 		h.Add(int(pop.benign))
 	}
 	return h
@@ -112,7 +125,7 @@ func (ic *IPCentric) BenignPerPrefix() *stats.IntHist {
 // 10a).
 func (ic *IPCentric) AbusivePerAbusivePrefix() *stats.IntHist {
 	h := stats.NewIntHist(64)
-	for _, pop := range ic.prefixes {
+	for _, pop := range ic.pops {
 		if pop.abusive > 0 {
 			h.Add(int(pop.abusive))
 		}
@@ -125,7 +138,7 @@ func (ic *IPCentric) AbusivePerAbusivePrefix() *stats.IntHist {
 // 10b).
 func (ic *IPCentric) BenignPerAbusivePrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
-	for _, pop := range ic.prefixes {
+	for _, pop := range ic.pops {
 		if pop.abusive > 0 {
 			h.Add(int(pop.benign))
 		}
@@ -137,7 +150,7 @@ func (ic *IPCentric) BenignPerAbusivePrefix() *stats.IntHist {
 // strictly exceeds n.
 func (ic *IPCentric) PrefixesWithMoreThan(n int) int {
 	count := 0
-	for _, pop := range ic.prefixes {
+	for _, pop := range ic.pops {
 		if int(pop.benign+pop.abusive) > n {
 			count++
 		}
@@ -149,7 +162,7 @@ func (ic *IPCentric) PrefixesWithMoreThan(n int) int {
 // strictly exceeds n.
 func (ic *IPCentric) AbusivePrefixesWithMoreThan(n int) int {
 	count := 0
-	for _, pop := range ic.prefixes {
+	for _, pop := range ic.pops {
 		if int(pop.abusive) > n {
 			count++
 		}
@@ -165,9 +178,9 @@ type HeavyPrefix struct {
 
 // TopPrefixes returns the k most user-populated prefixes, descending.
 func (ic *IPCentric) TopPrefixes(k int) []HeavyPrefix {
-	tops := make([]HeavyPrefix, 0, len(ic.prefixes))
-	for p, pop := range ic.prefixes {
-		tops = append(tops, HeavyPrefix{Prefix: p, Users: int(pop.benign + pop.abusive), Abusive: int(pop.abusive)})
+	tops := make([]HeavyPrefix, 0, len(ic.pops))
+	for _, pop := range ic.pops {
+		tops = append(tops, HeavyPrefix{Prefix: ic.prefix(pop.k), Users: int(pop.benign + pop.abusive), Abusive: int(pop.abusive)})
 	}
 	sort.Slice(tops, func(i, j int) bool {
 		if tops[i].Users != tops[j].Users {
@@ -204,10 +217,11 @@ func (ic *IPCentric) ConcentrationAbove(n int, asnOf func(netaddr.Addr) netmodel
 	var hc HeavyConcentration
 	perASN := make(map[netmodel.ASN]int)
 	structured := 0
-	for p, pop := range ic.prefixes {
+	for _, pop := range ic.pops {
 		if int(pop.benign+pop.abusive) <= n {
 			continue
 		}
+		p := ic.prefix(pop.k)
 		hc.Heavy++
 		if asnOf != nil {
 			perASN[asnOf(p.Addr())]++

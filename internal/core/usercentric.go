@@ -9,6 +9,14 @@
 // through Observe and answer queries afterwards. They deduplicate
 // (entity, address) pairs internally, so feeding the same observation
 // twice is harmless.
+//
+// The analyzers the CLI runs — UserCentric, IPCentric and
+// ChurnAttribution — hold that state per user: a dense user table with
+// a last-user memo, and each user's addresses or prefixes in a shared
+// key arena (see userstate.go). The layout is fastest when each user's
+// records arrive together, as the generators write them, but its
+// results do not depend on record order or on how the stream is split
+// across replicas.
 package core
 
 import (
@@ -28,31 +36,29 @@ type pairKey struct {
 // UserCentric accumulates per-user address diversity over its feeding
 // window: the engine behind Figures 2, 3 and 4 and the §4.4 client
 // address patterns. The zero value is ready to use.
+//
+// Each user's distinct addresses are two key lists, IPv4 and IPv6, in
+// per-family arenas; an address already in the user's list is a
+// duplicate, so no global (user, address) set is kept.
 type UserCentric struct {
-	seen  map[pairKey]struct{}
-	users map[uint64]*userAddrs
+	users  userTable[userAddrs]
+	v4, v6 keyArena[struct{}]
 	// abusiveOnly restricts accounting to abusive or benign entities.
 	abusiveOnly, benignOnly bool
 }
 
-// userAddrs holds one user's deduplicated addresses.
+// userAddrs holds one user's deduplicated addresses, per family.
 type userAddrs struct {
-	v4, v6  []netaddr.Addr
-	abusive bool
+	v4, v6 keyList
 }
 
 // NewUserCentric returns an analyzer accepting every entity.
-func NewUserCentric() *UserCentric {
-	return &UserCentric{seen: make(map[pairKey]struct{}), users: make(map[uint64]*userAddrs)}
-}
+func NewUserCentric() *UserCentric { return &UserCentric{} }
 
 // NewUserCentricFor returns an analyzer restricted to abusive accounts
 // (abusive = true) or benign users (abusive = false).
 func NewUserCentricFor(abusive bool) *UserCentric {
-	uc := NewUserCentric()
-	uc.abusiveOnly = abusive
-	uc.benignOnly = !abusive
-	return uc
+	return &UserCentric{abusiveOnly: abusive, benignOnly: !abusive}
 }
 
 // Observe feeds one observation.
@@ -63,48 +69,51 @@ func (uc *UserCentric) Observe(o telemetry.Observation) {
 	if !o.Addr.IsValid() {
 		return
 	}
-	key := pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, o.Addr.Bits())}
-	if _, dup := uc.seen[key]; dup {
-		return
-	}
-	uc.seen[key] = struct{}{}
-	u := uc.users[o.UserID]
-	if u == nil {
-		u = &userAddrs{abusive: o.Abusive}
-		uc.users[o.UserID] = u
-	}
+	u := uc.users.get(o.UserID)
+	hi, lo := o.Addr.Words()
 	if o.Addr.Is4() {
-		u.v4 = append(u.v4, o.Addr)
+		uc.v4.insert(&u.v4, words{hi, lo}, struct{}{})
 	} else {
-		u.v6 = append(u.v6, o.Addr)
+		uc.v6.insert(&u.v6, words{hi, lo}, struct{}{})
 	}
 }
 
 // Users returns the number of distinct entities observed.
-func (uc *UserCentric) Users() int { return len(uc.users) }
+func (uc *UserCentric) Users() int { return uc.users.len() }
 
 // Merge folds another analyzer's state into uc, deduplicating pairs the
 // two saw in common. Both analyzers must use the same restriction. Merge
-// enables sharded parallel analysis: feed disjoint telemetry shards to
-// separate analyzers, then merge.
+// is exact for any split of the stream, user-disjoint or not, which is
+// what sharded and fused parallel analysis rely on.
 func (uc *UserCentric) Merge(other *UserCentric) {
-	for key := range other.seen {
-		if _, dup := uc.seen[key]; dup {
-			continue
+	for j, uid := range other.users.uids {
+		ou := &other.users.state[j]
+		u := uc.users.get(uid)
+		for _, s := range other.v4.keys(&ou.v4) {
+			uc.v4.insert(&u.v4, s.k, struct{}{})
 		}
-		uc.seen[key] = struct{}{}
-		u := uc.users[key.uid]
-		if u == nil {
-			ou := other.users[key.uid]
-			u = &userAddrs{abusive: ou != nil && ou.abusive}
-			uc.users[key.uid] = u
-		}
-		if key.pfx.Family() == netaddr.IPv4 {
-			u.v4 = append(u.v4, key.pfx.Addr())
-		} else {
-			u.v6 = append(u.v6, key.pfx.Addr())
+		for _, s := range other.v6.keys(&ou.v6) {
+			uc.v6.insert(&u.v6, s.k, struct{}{})
 		}
 	}
+}
+
+// count returns u's number of distinct addresses of the family.
+func (u *userAddrs) count(fam netaddr.Family) int {
+	if fam == netaddr.IPv6 {
+		return int(u.v6.n)
+	}
+	return int(u.v4.n)
+}
+
+// prefixCount returns the number of distinct prefixes of the given
+// length among u's IPv6 addresses, using set as scratch.
+func (uc *UserCentric) prefixCount(u *userAddrs, length int, set map[netaddr.Prefix]struct{}) int {
+	clear(set)
+	for _, s := range uc.v6.keys(&u.v6) {
+		set[netaddr.PrefixFrom(s.k.addr6(), length)] = struct{}{}
+	}
+	return len(set)
 }
 
 // AddrsPerUser returns the histogram of distinct addresses per user for
@@ -112,12 +121,8 @@ func (uc *UserCentric) Merge(other *UserCentric) {
 // family (matching the paper's per-protocol user populations).
 func (uc *UserCentric) AddrsPerUser(fam netaddr.Family) *stats.IntHist {
 	h := stats.NewIntHist(64)
-	for _, u := range uc.users {
-		n := len(u.v4)
-		if fam == netaddr.IPv6 {
-			n = len(u.v6)
-		}
-		if n > 0 {
+	for i := range uc.users.state {
+		if n := uc.users.state[i].count(fam); n > 0 {
 			h.Add(n)
 		}
 	}
@@ -138,16 +143,13 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 	for i, l := range lengths {
 		var one, two, three, total int
 		set := make(map[netaddr.Prefix]struct{}, 16)
-		for _, u := range uc.users {
-			if len(u.v6) == 0 {
+		for j := range uc.users.state {
+			u := &uc.users.state[j]
+			if u.v6.n == 0 {
 				continue
 			}
-			clear(set)
-			for _, a := range u.v6 {
-				set[netaddr.PrefixFrom(a, l)] = struct{}{}
-			}
 			total++
-			switch n := len(set); {
+			switch n := uc.prefixCount(u, l, set); {
 			case n == 1:
 				one++
 				two++
@@ -175,15 +177,10 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 func (uc *UserCentric) PrefixesPerUser(length int) *stats.IntHist {
 	h := stats.NewIntHist(64)
 	set := make(map[netaddr.Prefix]struct{}, 16)
-	for _, u := range uc.users {
-		if len(u.v6) == 0 {
-			continue
+	for i := range uc.users.state {
+		if u := &uc.users.state[i]; u.v6.n > 0 {
+			h.Add(uc.prefixCount(u, length, set))
 		}
-		clear(set)
-		for _, a := range u.v6 {
-			set[netaddr.PrefixFrom(a, length)] = struct{}{}
-		}
-		h.Add(len(set))
 	}
 	return h
 }
@@ -197,13 +194,9 @@ type TopUser struct {
 // TopUsersByAddrs returns the k users with the most distinct addresses
 // of the family, descending.
 func (uc *UserCentric) TopUsersByAddrs(fam netaddr.Family, k int) []TopUser {
-	tops := make([]TopUser, 0, len(uc.users))
-	for uid, u := range uc.users {
-		n := len(u.v4)
-		if fam == netaddr.IPv6 {
-			n = len(u.v6)
-		}
-		if n > 0 {
+	tops := make([]TopUser, 0, uc.users.len())
+	for i, uid := range uc.users.uids {
+		if n := uc.users.state[i].count(fam); n > 0 {
 			tops = append(tops, TopUser{UID: uid, Count: n})
 		}
 	}
@@ -223,12 +216,8 @@ func (uc *UserCentric) TopUsersByAddrs(fam netaddr.Family, k int) []TopUser {
 // addresses of the family.
 func (uc *UserCentric) UsersWithMoreThan(fam netaddr.Family, n int) int {
 	count := 0
-	for _, u := range uc.users {
-		c := len(u.v4)
-		if fam == netaddr.IPv6 {
-			c = len(u.v6)
-		}
-		if c > n {
+	for i := range uc.users.state {
+		if uc.users.state[i].count(fam) > n {
 			count++
 		}
 	}
@@ -253,15 +242,17 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 	var p ClientAddrPatterns
 	var teredo, sixToFour, eui, structured, random int
 	var euiMulti, euiReuse int
-	for _, u := range uc.users {
-		if len(u.v6) == 0 {
+	for i := range uc.users.state {
+		u := &uc.users.state[i]
+		if u.v6.n == 0 {
 			continue
 		}
 		p.V6Users++
 		var hasTeredo, has6to4, hasEUI, hasStruct, hasRandom bool
 		iids := make(map[uint64]struct{}, 4)
 		euiAddrs := 0
-		for _, a := range u.v6 {
+		for _, s := range uc.v6.keys(&u.v6) {
+			a := s.k.addr6()
 			switch netaddr.Classify(a) {
 			case netaddr.KindTeredo:
 				hasTeredo = true
@@ -285,7 +276,7 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 		}
 		if hasEUI {
 			eui++
-			if len(u.v6) >= 2 && euiAddrs >= 2 {
+			if u.v6.n >= 2 && euiAddrs >= 2 {
 				euiMulti++
 				if len(iids) == 1 {
 					euiReuse++
