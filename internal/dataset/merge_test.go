@@ -63,28 +63,31 @@ func TestMergeByteIdenticalToSingleWriter(t *testing.T) {
 		parts = append(parts, p)
 	}
 
-	merged := filepath.Join(dir, "merged.uv6")
-	rep, err := Merge(merged, meta, parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete {
-		t.Fatalf("merge of intact parts reported incomplete: %+v", rep.Parts)
-	}
-	if rep.Records != uint64(len(obs)) {
-		t.Fatalf("merged %d records, want %d", rep.Records, len(obs))
-	}
-
 	want, err := os.ReadFile(single)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("merged dataset differs from single-writer output (%d vs %d bytes)", len(got), len(want))
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			merged := filepath.Join(dir, fmt.Sprintf("merged-%d.uv6", workers))
+			rep, err := Merge(merged, meta, parts, &MergeOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Complete {
+				t.Fatalf("merge of intact parts reported incomplete: %+v", rep.Parts)
+			}
+			if rep.Records != uint64(len(obs)) {
+				t.Fatalf("merged %d records, want %d", rep.Records, len(obs))
+			}
+			got, err := os.ReadFile(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("merged dataset differs from single-writer output (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package dataset
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -146,52 +147,86 @@ func TestParallelReaderRawStream(t *testing.T) {
 	sameRecords(t, got, in)
 }
 
-// A corrupt block in strict mode fails the read with a typed error, but
-// only after every preceding block has been delivered in order — the
-// exact behavior of the sequential reader.
+// A damaged stream in strict mode fails the read with the sequential
+// reader's error, whether the damage is found by a decode worker (a
+// checksum flip) or by the frame scan itself (a torn tail). ForEachBatch
+// first delivers exactly the records Reader.ForEach delivers before
+// failing, then the same *CorruptError; ForEachWorker, which has no
+// ordered delivery and so no prefix guarantee, fails with the same
+// error class.
 func TestParallelReaderStrictCorruptBlock(t *testing.T) {
-	in := sample(5000)
-	path := writeDataset(t, in)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte deep in the stream: past the dataset header, the
-	// stream signature, and two default-size blocks.
-	off := headerSize + 4 + 2*(16+1024*40) + 16 + 200
-	raw[off] ^= 0x01
-	bad := filepath.Join(t.TempDir(), "bad.uv6")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+		block  int
+	}{
+		// Past the dataset header, the stream signature and two
+		// default-size blocks: block 2's payload fails its checksum.
+		{"checksum-flip", func(b []byte) []byte {
+			b[headerSize+4+2*(16+1024*40)+16+200] ^= 0x01
+			return b
+		}, 2},
+		// The last frame (block 4 of 5) ends early: the scan cannot
+		// read its payload.
+		{"torn-tail", func(b []byte) []byte { return b[:len(b)-41] }, 4},
+	} {
+		raw, err := os.ReadFile(writeDataset(t, sample(5000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := filepath.Join(t.TempDir(), "bad.uv6")
+		if err := os.WriteFile(bad, tc.mutate(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	// Sequential reference: records recovered before the failure.
-	var want []telemetry.Observation
-	r, err := Open(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serr := r.ForEach(func(o telemetry.Observation) { want = append(want, o) })
-	r.Close()
-	if !errors.Is(serr, telemetry.ErrCorrupt) {
-		t.Fatalf("sequential reader: want ErrCorrupt, got %v", serr)
-	}
+		// Sequential reference: records recovered before the failure.
+		var want []telemetry.Observation
+		r, err := Open(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serr := r.ForEach(func(o telemetry.Observation) { want = append(want, o) })
+		r.Close()
+		var sce *telemetry.CorruptError
+		if !errors.As(serr, &sce) || sce.Block != tc.block {
+			t.Fatalf("%s: sequential reader: want *CorruptError for block %d, got %v", tc.name, tc.block, serr)
+		}
 
-	pr, err := OpenParallel(bad, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				pr, err := OpenParallel(bad, ParallelOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pr.Close()
+				var got []telemetry.Observation
+				perr := pr.ForEachBatch(context.Background(), func(b Batch) error {
+					got = append(got, b.Recs...)
+					return nil
+				})
+				var ce *telemetry.CorruptError
+				if !errors.As(perr, &ce) || ce.Block != sce.Block || ce.Offset != sce.Offset {
+					t.Fatalf("ForEachBatch: want %v, got %v", serr, perr)
+				}
+				sameRecords(t, got, want)
+				if _, ok := pr.Coverage(); ok {
+					t.Fatal("failed strict read reported coverage")
+				}
+
+				pw, err := OpenParallel(bad, ParallelOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pw.Close()
+				werr := pw.ForEachWorker(context.Background(), func(int) func(Batch) error {
+					return func(Batch) error { return nil }
+				})
+				if !errors.As(werr, &ce) || ce.Block != sce.Block {
+					t.Fatalf("ForEachWorker: want *CorruptError for block %d, got %v", sce.Block, werr)
+				}
+			})
+		}
 	}
-	defer pr.Close()
-	var got []telemetry.Observation
-	perr := pr.ForEach(func(o telemetry.Observation) { got = append(got, o) })
-	if !errors.Is(perr, telemetry.ErrCorrupt) {
-		t.Fatalf("parallel reader: want ErrCorrupt, got %v", perr)
-	}
-	var ce *telemetry.CorruptError
-	if !errors.As(perr, &ce) || ce.Block != 2 {
-		t.Fatalf("want *CorruptError for block 2, got %v", perr)
-	}
-	sameRecords(t, got, want)
 }
 
 // Tolerant parallel reads must recover exactly what Salvage recovers
