@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
-# The CI bench gate: one pass over the generation, codec, trie, and
-# analysis hot paths, checked against bench/BENCH_baseline.json (3x
-# tripwire on PRs; the nightly run re-gates the same set at 1.3x with
-# real -benchtime sampling).
+# The CI bench gate: three passes over the generation, codec, trie, and
+# analysis hot paths, their medians checked against
+# bench/BENCH_baseline.json (3x tripwire on PRs; the nightly run
+# re-gates the same set at 1.3x with real -benchtime sampling).
 BENCH_GATE = ^(BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkRollup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze)$$
 BENCH_PKGS = . ./internal/telemetry ./internal/trie ./internal/core
 NIGHTLY_BENCHTIME = 2s
@@ -91,16 +91,18 @@ fuzz-smoke:
 		$(GO) test $$pkg -run='^$$' -fuzz="^$$fn$$" -fuzztime=$(FUZZTIME); \
 	done
 
-# Single-pass benchmark smoke: catches panics outright and gates ns/op
-# against the checked-in baseline (order-of-magnitude tripwire, not a
-# profiler). Writes BENCH_results.json for the CI artifact.
+# Benchmark smoke: three single-iteration passes per benchmark; catches
+# panics outright and gates the median ns/op against the checked-in
+# baseline (order-of-magnitude tripwire, not a profiler). Writes
+# BENCH_results.json for the CI artifact.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=1x $(BENCH_PKGS) 2>&1 | tee bench-smoke.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=1x -count=3 $(BENCH_PKGS) 2>&1 | tee bench-smoke.txt
 	$(GO) run ./cmd/benchgate -in bench-smoke.txt -baseline bench/BENCH_baseline.json -out BENCH_results.json
 
-# Refresh the checked-in baseline after intentional perf changes.
+# Refresh the checked-in baseline (medians of three passes) after
+# intentional perf changes.
 bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=1x $(BENCH_PKGS) 2>&1 | tee bench-smoke.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=1x -count=3 $(BENCH_PKGS) 2>&1 | tee bench-smoke.txt
 	$(GO) run ./cmd/benchgate -in bench-smoke.txt -baseline bench/BENCH_baseline.json -out BENCH_results.json -update
 
 # Compression-ratio gate, run next to the bench smoke: on the fixture

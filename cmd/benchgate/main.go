@@ -6,12 +6,14 @@
 //
 // The baseline is a deliberately coarse tripwire, not a profiler:
 // shared CI runners are noisy, so only order-of-magnitude regressions
-// (default 3x) fail the gate. Refresh it with -update after intentional
-// performance changes.
+// (default 3x) fail the gate. When a benchmark repeats (go test
+// -count=N), every sample is kept and the gate compares their median,
+// so one noisy pass cannot trip it. Refresh the baseline with -update
+// after intentional performance changes.
 //
 // Usage:
 //
-//	go test -bench=... -benchtime=1x ./... | tee bench.txt
+//	go test -bench=... -benchtime=1x -count=3 ./... | tee bench.txt
 //	benchgate -in bench.txt -baseline bench/BENCH_baseline.json -out BENCH_results.json
 package main
 
@@ -27,7 +29,8 @@ import (
 	"strings"
 )
 
-// Result holds one benchmark's measurement.
+// Result holds one benchmark's measurement: the median ns/op of its
+// samples and the iterations they ran in total.
 type Result struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	Iters   int64   `json:"iters,omitempty"`
@@ -121,12 +124,13 @@ func main() {
 	fmt.Printf("benchgate: all %d gated benchmarks within %.1fx of baseline\n", len(names), *maxRatio)
 }
 
-// parse extracts benchmark result lines from `go test -bench` output.
-// The returned bad string is non-empty when the run itself failed
-// (panic or FAIL), which must gate even if every parsed line looks
-// healthy.
+// parse extracts benchmark result lines from `go test -bench` output,
+// one Result per benchmark name holding the median of its samples. The
+// returned bad string is non-empty when the run itself failed (panic
+// or FAIL), which must gate even if every parsed line looks healthy.
 func parse(r io.Reader) (*File, string, error) {
-	out := &File{Benchmarks: map[string]Result{}}
+	samples := map[string][]float64{}
+	iters := map[string]int64{}
 	bad := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -159,7 +163,7 @@ func parse(r io.Reader) (*File, string, error) {
 				name = name[:i] // strip the GOMAXPROCS suffix
 			}
 		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
+		n, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			continue
 		}
@@ -175,12 +179,28 @@ func parse(r io.Reader) (*File, string, error) {
 		if !found {
 			continue
 		}
-		out.Benchmarks[name] = Result{NsPerOp: ns, Iters: iters}
+		samples[name] = append(samples[name], ns)
+		iters[name] += n
 	}
 	if err := sc.Err(); err != nil {
 		return nil, "", err
 	}
+	out := &File{Benchmarks: make(map[string]Result, len(samples))}
+	for name, ns := range samples {
+		out.Benchmarks[name] = Result{NsPerOp: median(ns), Iters: iters[name]}
+	}
 	return out, bad, nil
+}
+
+// median returns the middle sample, or the mean of the two middle
+// samples of an even count. It sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 func readJSON(path string) (*File, error) {

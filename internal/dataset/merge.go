@@ -7,14 +7,17 @@
 // says exactly how much of each part survived — the tolerant-merge
 // shape the hitlist pipelines apply to partially damaged corpora.
 //
-// Two fast paths keep the pass from being the pipeline's slowest: the
-// record decode/re-encode of each part fans out across a worker pool
-// (the same block-parallelism as OpenParallel, threaded through the
-// salvage scan), and a stored block whose frame is provably what the
-// output writer would emit at that position — boundary-aligned, full,
-// same codec — is copied through without being decoded at all. For a
-// compressed sharded export merged at the same codec, that passthrough
-// covers nearly every block, so the merge never pays the LZ re-encode.
+// Each part runs through the package's one block pool (parallel.go)
+// exactly like a tolerant ordered read: the salvage scan walks the part
+// sequentially, decode workers fan record decoding out, and the ordered
+// sink hands blocks to the output writer in stream order. Two fast
+// paths keep the pass from being the pipeline's slowest: that parallel
+// decode, and a passthrough the scan plans per block — a stored block
+// whose frame is provably what the output writer would emit at that
+// position (boundary-aligned, full, same codec) skips the workers and
+// is copied through without being decoded at all. For a compressed
+// sharded export merged at the same codec, that passthrough covers
+// nearly every block, so the merge never pays the LZ re-encode.
 package dataset
 
 import (
@@ -28,7 +31,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 
 	"userv6/internal/faultio"
 	"userv6/internal/retry"
@@ -57,8 +59,8 @@ type MergeOptions struct {
 	Tolerant bool
 	// Workers is the per-part decode pool size; <= 0 means GOMAXPROCS.
 	// The marker-resync scan stays sequential (the resync position
-	// depends on each frame's checksum verdict), but record decode and
-	// re-emission fan out across the pool.
+	// depends on each frame's checksum verdict), but record decode fans
+	// out across the pool.
 	Workers int
 	// Expected, when non-nil, supplies per-part expectations (block
 	// counts, whole-file checksums, codec) from a manifest, keyed by
@@ -141,8 +143,10 @@ func Merge(out string, meta Meta, parts []string, opts *MergeOptions) (MergeRepo
 	return MergeCtx(context.Background(), out, meta, parts, opts)
 }
 
-// MergeCtx is Merge under a context: cancellation aborts between parts
-// and interrupts any in-flight backoff sleep.
+// MergeCtx is Merge under a context: cancellation aborts the merge,
+// between parts or inside one (the part's block pool stops), and
+// interrupts any in-flight backoff sleep. A cancelled merge returns the
+// context's error and leaves no output file.
 func MergeCtx(ctx context.Context, out string, meta Meta, parts []string, opts *MergeOptions) (MergeReport, error) {
 	opt := opts.withDefaults()
 	w, err := CreateFS(opt.FS, out, meta)
@@ -269,7 +273,7 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 			telemetry.CanonicalPolicy(declared) == telemetry.CanonicalPolicy(w.meta.Codec)
 	}
 
-	sr, serr, werr := mergeStream(w, stream, opt.Workers, passOK)
+	sr, serr, werr := mergeStream(ctx, w, stream, opt.Workers, passOK)
 	if werr != nil {
 		return cov, werr
 	}
@@ -333,143 +337,58 @@ func CheckPartCodecs(declared string, observed telemetry.CodecSet) error {
 	return nil
 }
 
-// mergeStream salvages one part's stream into the output writer through
-// a worker pool. The scanner (the sequential marker-resync walk) also
-// decides, deterministically, which blocks qualify for passthrough: a
-// block lands in the output byte-identically to re-writing its records
-// iff the caller established policy compatibility (passOK), the writer
-// has no partial block pending, the block is exactly full, and its
-// stored codec is one the writer's chain could have chosen. Everything
-// else is decoded by the pool and re-emitted record by record. scanErr
-// reports an unrecognizable stream (non-fatal to the merge); writeErr
-// reports an output-side failure (fatal).
-func mergeStream(w *Writer, stream []byte, workers int, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
+// mergeStream salvages one part's stream into the output writer
+// through the block pool's ordered sink, so the output bytes match a
+// sequential merge exactly. The salvage scan also plans,
+// deterministically, which blocks pass through: a block lands in the
+// output byte-identically to re-writing its records iff the caller
+// established policy compatibility (passOK), the writer has no partial
+// block pending, the block is exactly full, and its stored codec is one
+// the writer's chain could have chosen. The plan simulates the writer's
+// pending-record count and mirrors WriteEncodedBlock's own precondition
+// check, so by the time an aligned block is delivered the writer is
+// exactly where the plan predicted. Passthrough blocks skip the pool's
+// CPU entirely (their stored bytes, checksum included, are already what
+// the output needs); everything else is decoded by the pool and
+// re-emitted record by record. scanErr reports an unrecognizable stream
+// (non-fatal to the merge); err reports an output-side failure or
+// cancellation (fatal).
+func mergeStream(ctx context.Context, w *Writer, stream []byte, workers int, passOK bool) (rep telemetry.SalvageReport, scanErr, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	type mergeRes struct {
-		idx  int
-		blk  telemetry.RawBlock
-		recs []telemetry.Observation
-		pass bool
-	}
-	type mergeJob struct {
-		idx     int
-		blk     telemetry.RawBlock
-		decoded []byte
-		pass    bool
-	}
-	jobs := make(chan mergeJob, workers)
-	results := make(chan mergeRes, workers*2)
-	var bufs pools
-
-	// Scanner: walks the salvage resync sequentially, planning
-	// passthrough by simulating the writer's pending-record count. The
-	// plan mirrors WriteEncodedBlock's own precondition check, so by
-	// the time an aligned block reaches delivery (in order), the writer
-	// is exactly where the scanner predicted.
-	pending := w.tw.Pending()
-	perBlock := w.tw.RecordsPerBlock()
-	go func() {
-		defer close(jobs)
-		idx := 0
-		rep, scanErr = telemetry.SalvageRawBlocks(stream, func(b telemetry.RawBlock, decoded []byte) {
-			pass := passOK && pending == 0 && b.Checksummed() &&
-				b.Count == perBlock && w.tw.CodecCompatible(b.Codec)
-			if !pass {
-				pending = (pending + b.Count) % perBlock
-			}
-			select {
-			case jobs <- mergeJob{idx: idx, blk: b, decoded: decoded, pass: pass}:
-				idx++
-			case <-ctx.Done():
-			}
-		})
-	}()
-
-	// Workers: record decode for blocks that must be re-framed;
-	// passthrough blocks skip the pool's CPU entirely (their stored
-	// bytes — checksum included — are already what the output needs).
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res := mergeRes{idx: j.idx, blk: j.blk, pass: j.pass}
-				if !j.pass {
-					res.recs = telemetry.AppendRecords(bufs.getRecs(), j.decoded)
-				}
-				select {
-				case results <- res:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Delivery: strictly in stream order on this goroutine, so the
-	// output bytes match a sequential merge exactly.
-	var (
-		next int
-		held = make(map[int]mergeRes)
-	)
-	fail := func(err error) {
-		if writeErr == nil {
-			writeErr = err
-			cancel()
+	pending, perBlock := w.tw.Pending(), w.tw.RecordsPerBlock()
+	plan := func(b telemetry.RawBlock) bool {
+		pass := passOK && pending == 0 && b.Checksummed() &&
+			b.Count == perBlock && w.tw.CodecCompatible(b.Codec)
+		if !pass {
+			pending = (pending + b.Count) % perBlock
 		}
+		return pass
 	}
-	for r := range results {
-		held[r.idx] = r
-		for {
-			h, ok := held[next]
-			if !ok {
-				break
+	p := newBlockPool(ctx)
+	defer p.cancel()
+	err = p.ordered(workers, salvageScan(stream, plan, &rep, &scanErr), func(it item) error {
+		if it.pass {
+			ok, err := w.writeEncodedBlock(it.blk)
+			if ok || err != nil {
+				return err
 			}
-			delete(held, next)
-			next++
-			if writeErr != nil {
-				bufs.putRecs(h.recs)
-				continue
+			// The writer declined (cannot happen while the plan's
+			// simulation holds, but stay safe): decode the stored block
+			// and re-emit its records.
+			if it.recs, _, err = it.blk.AppendDecoded(nil, nil); err != nil {
+				return err
 			}
-			if h.pass {
-				ok, err := w.writeEncodedBlock(h.blk)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				if ok {
-					continue
-				}
-				// The writer declined (cannot happen while the scanner's
-				// simulation holds, but stay safe): fall back to decoding
-				// the stored block and re-emitting its records.
-				recs, _, derr := h.blk.AppendDecoded(bufs.getRecs(), nil)
-				if derr != nil {
-					fail(derr)
-					continue
-				}
-				h.recs = recs
-			}
-			for _, o := range h.recs {
-				if err := w.Write(o); err != nil {
-					fail(err)
-					break
-				}
-			}
-			bufs.putRecs(h.recs)
 		}
-	}
-	return rep, scanErr, writeErr
+		for _, o := range it.recs {
+			if err := w.Write(o); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return rep, scanErr, err
 }
 
 // readFileRetry reads path fully through the shared retry policy.

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -259,5 +260,60 @@ func TestMergeCtxCancelled(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled merge blocked %v", elapsed)
+	}
+}
+
+// cancelOnWriteFS cancels a context on the first stream write to any
+// file it creates. The dataset header goes out with WriteAt at create
+// time, so the first Write is the output writer flushing its first
+// blocks: the merge is past the header and inside a part.
+type cancelOnWriteFS struct {
+	faultio.FS
+	cancel context.CancelFunc
+}
+
+func (c cancelOnWriteFS) Create(name string) (faultio.File, error) {
+	f, err := c.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return cancelOnWriteFile{File: f, cancel: c.cancel}, nil
+}
+
+type cancelOnWriteFile struct {
+	faultio.File
+	cancel context.CancelFunc
+}
+
+func (f cancelOnWriteFile) Write(b []byte) (int, error) {
+	f.cancel()
+	return f.File.Write(b)
+}
+
+// TestMergeCtxCancelledMidPart: cancellation inside a part stops that
+// part's block pool; the merge returns context.Canceled and leaves no
+// output file behind, finished or temporary.
+func TestMergeCtxCancelledMidPart(t *testing.T) {
+	dir := t.TempDir()
+	meta := Meta{Seed: 9, Users: 100, FromDay: 0, ToDay: 6, Sample: "all"}
+	part := filepath.Join(dir, "part-0000.uv6")
+	if info := writePart(t, part, meta, sample(40*1024)); info.Blocks != 40 {
+		t.Fatalf("part has %d blocks, test expects 40", info.Blocks)
+	}
+
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		out := filepath.Join(dir, fmt.Sprintf("out-%d.uv6", workers))
+		_, err := MergeCtx(ctx, out, meta, []string{part},
+			&MergeOptions{FS: cancelOnWriteFS{FS: faultio.OS, cancel: cancel}, Workers: workers})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
+		}
+		for _, p := range []string{out, out + ".tmp"} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("workers=%d: cancelled merge left %s (stat err %v)", workers, filepath.Base(p), err)
+			}
+		}
 	}
 }

@@ -1,13 +1,18 @@
 package dataset
 
 // Block-parallel dataset reading. The v2 format's independently
-// checksummed, independently decodable blocks are the natural unit of
-// parallelism: a single goroutine performs the sequential disk I/O
-// (frame scanning), a worker pool verifies checksums and decodes
-// records, and batches are delivered in exact stream order (ForEach,
-// ForEachBatch) or consumed on the decode workers themselves
-// (ForEachWorker). Tolerant reads — the salvage path that
-// skips corrupt blocks and reports coverage — go through the same pool.
+// checksummed, independently decodable blocks are the unit of
+// parallelism, and every parallel pass in this package — ordered reads
+// (ForEachBatch), per-worker reads (ForEachWorker) and merge — runs
+// through one block pool. A scan goroutine walks the stream in order:
+// the strict scan reads frames through a BlockReader, the salvage scan
+// resyncs over a buffered stream and, for merge, plans which blocks
+// pass through undecoded. N decode workers verify and decode what the
+// scan emits and hand every block, or its positioned error, to a sink.
+// The ordered sink reorders blocks onto the calling goroutine in stream
+// order; the per-worker sink runs the worker's own callback inline. The
+// first error (scan, decode, callback, a recovered worker panic, or
+// the caller's cancellation) cancels the whole pass.
 
 import (
 	"bufio"
@@ -125,75 +130,102 @@ func (pr *ParallelReader) Coverage() (telemetry.SalvageReport, bool) {
 	return pr.coverage, pr.covered
 }
 
-// finishStrict sums the per-goroutine block counts of a successful
-// strict read into the reader's coverage. An empty stream still reports
-// as v2: there is nothing to contradict the newest format.
-func (pr *ParallelReader) finishStrict(reports ...telemetry.SalvageReport) {
-	var total telemetry.SalvageReport
-	for i := range reports {
-		total.Add(reports[i])
-	}
-	if total.Version == 0 {
-		total.Version = 2
-	}
-	pr.coverage, pr.covered = total, true
-}
-
 // Close closes the underlying file.
 func (pr *ParallelReader) Close() error { return pr.f.Close() }
-
-// ForEach streams every record through fn in exact stream order, like
-// Reader.ForEach, with decode parallelized across the pool.
-func (pr *ParallelReader) ForEach(fn telemetry.EmitFunc) error {
-	return pr.ForEachBatch(context.Background(), func(b Batch) error {
-		for _, o := range b.Recs {
-			fn(o)
-		}
-		return nil
-	})
-}
 
 // ForEachBatch decodes the stream through the worker pool and delivers
 // each block's records to fn, invoked from the calling goroutine, one
 // batch at a time, in stream order — a strict-mode corrupt-block error
 // surfaces only after every block before it has been delivered, exactly
 // like the sequential reader. A non-nil error from fn cancels the
-// read and is returned. The reader is single-use: a second call
-// returns an error.
+// read and is returned; a decode worker's panic is recovered and
+// returned as a *WorkerPanicError. The reader is single-use: a second
+// call returns an error.
 func (pr *ParallelReader) ForEachBatch(ctx context.Context, fn func(Batch) error) error {
+	if err := pr.consume(); err != nil {
+		return err
+	}
+	return pr.read(ctx, true, []func(Batch) error{fn})
+}
+
+// ForEachWorker is the per-worker consumption mode: newWorker is called
+// serially (worker 0 first, before any goroutine starts) to build one
+// callback per decode worker, and each worker then invokes its own
+// callback inline on every block it decodes — no ordered delivery, no
+// cross-goroutine batch handoff. Batches arrive in arbitrary order and
+// their record slices are recycled as soon as the callback returns. A
+// given callback is only ever invoked from its own worker goroutine, so
+// worker-local state needs no locking, while the serial factory phase
+// may freely touch shared state. Tolerant selects the salvage scan and
+// fills Coverage on success. The first decode or callback error cancels
+// the read and is returned; a callback panic is recovered and returned
+// as a *WorkerPanicError. The reader is single-use, like ForEachBatch.
+func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(worker int) func(Batch) error) error {
+	if err := pr.consume(); err != nil {
+		return err
+	}
+	fns := make([]func(Batch) error, pr.opts.Workers)
+	for w := range fns {
+		fns[w] = newWorker(w)
+	}
+	return pr.read(ctx, false, fns)
+}
+
+func (pr *ParallelReader) consume() error {
 	if pr.consumed {
 		return errors.New("dataset: stream already consumed")
 	}
 	pr.consumed = true
+	return nil
+}
+
+// read runs one pass over the stream, through the ordered sink into
+// fns[0] or through the per-worker sink into fns, and records the
+// coverage of a pass that succeeded.
+func (pr *ParallelReader) read(ctx context.Context, ordered bool, fns []func(Batch) error) error {
+	p := newBlockPool(ctx)
+	defer p.cancel()
+	var (
+		scan    scanFunc
+		cov     telemetry.SalvageReport
+		scanErr error
+	)
 	if pr.opts.Tolerant {
-		return pr.runTolerant(ctx, fn)
+		// Buffer the stream like Salvage: resynchronization needs random
+		// access, and salvage is an offline recovery path, not a hot one.
+		data, err := io.ReadAll(bufio.NewReaderSize(pr.f, 1<<20))
+		if err != nil {
+			return fmt.Errorf("dataset: salvage read: %w", err)
+		}
+		scan = salvageScan(data, nil, &cov, &scanErr)
+	} else {
+		scan = p.blockScan(pr.f)
 	}
-	return pr.runStrict(ctx, fn)
-}
-
-// scanLabeled and workerLabeled attach pprof goroutine labels so CPU
-// and goroutine profiles attribute time by pipeline stage and worker:
-// stage=scan for the frame scanner, stage=decode for pool workers that
-// only decode, stage=decode+analyze for ForEachWorker workers.
-func scanLabeled(body func()) {
-	pprof.Do(context.Background(), pprof.Labels("stage", "scan"),
-		func(context.Context) { body() })
-}
-
-func workerLabeled(stage string, w int, body func()) {
-	pprof.Do(context.Background(), pprof.Labels("stage", stage, "worker", strconv.Itoa(w)),
-		func(context.Context) { body() })
-}
-
-// result is one decoded block (or a positioned error) on its way from
-// the pool to delivery. codec and cksum carry the block's stored codec
-// and frame version so delivery can count strict-mode coverage.
-type result struct {
-	idx   int
-	recs  []telemetry.Observation
-	err   error
-	codec telemetry.CodecID
-	cksum bool
+	reports := make([]telemetry.SalvageReport, len(fns))
+	var err error
+	if ordered {
+		err = p.ordered(pr.opts.Workers, scan, func(it item) error { return it.deliver(fns[0], &reports[0]) })
+	} else {
+		err = p.perWorker(scan, fns, reports)
+	}
+	switch {
+	case err != nil:
+		return err
+	case scanErr != nil:
+		return scanErr
+	case !pr.opts.Tolerant:
+		// A strict read covers the intact stream it delivered. An empty
+		// stream still reports as v2: there is nothing to contradict the
+		// newest format.
+		for i := range reports {
+			cov.Add(reports[i])
+		}
+		if cov.Version == 0 {
+			cov.Version = 2
+		}
+	}
+	pr.coverage, pr.covered = cov, true
+	return nil
 }
 
 // pools recycles payload and record-batch scratch buffers across
@@ -229,223 +261,11 @@ func (p *pools) putRecs(b []telemetry.Observation) {
 	}
 }
 
-func (pr *ParallelReader) runStrict(ctx context.Context, fn func(Batch) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var bufs pools
-	jobs := make(chan telemetry.RawBlock, pr.opts.Workers)
-	results := make(chan result, pr.opts.Workers*2)
-
-	// Scanner: sequential frame I/O. A scan error is assigned the index
-	// the next block would have carried, so ordered delivery emits it
-	// after every block before the damage — like the sequential reader.
-	go scanLabeled(func() {
-		defer close(jobs)
-		br := telemetry.NewBlockReader(bufio.NewReaderSize(pr.f, 1<<20))
-		idx := 0
-		for {
-			blk, err := br.Next(bufs.getPayload())
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				select {
-				case results <- result{idx: idx, err: err}:
-				case <-ctx.Done():
-				}
-				return
-			}
-			idx = blk.Index + 1
-			select {
-			case jobs <- blk:
-			case <-ctx.Done():
-				return
-			}
-		}
-	})
-
-	// Workers: CRC verify + codec decode. Each worker keeps its own
-	// decompression scratch, so a compressed stream decodes with zero
-	// steady-state allocations and the LZ work parallelizes with the
-	// rest of the block decode.
-	var wg sync.WaitGroup
-	for w := 0; w < pr.opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerLabeled("decode", w, func() {
-				var scratch []byte
-				for blk := range jobs {
-					recs, sc, err := blk.AppendDecoded(bufs.getRecs(), scratch)
-					scratch = sc
-					bufs.putPayload(blk.Payload)
-					if err != nil {
-						recs = nil
-					}
-					select {
-					case results <- result{idx: blk.Index, recs: recs, err: err,
-						codec: blk.Codec, cksum: blk.Checksummed()}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			})
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var rep telemetry.SalvageReport
-	if err := pr.deliver(cancel, results, fn, &bufs, &rep); err != nil {
-		return err
-	}
-	// deliver only cancels after recording an error, so a cancelled
-	// context here means the caller's ctx fired mid-read.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	pr.finishStrict(rep)
-	return nil
-}
-
-// Note that the scan error carries the index where the sequential
-// reader would have failed; in the strict path corruption anywhere
-// fails the read, but ordered delivery still hands over every block
-// before the damage first, mirroring Reader.ForEach exactly.
-
-func (pr *ParallelReader) runTolerant(ctx context.Context, fn func(Batch) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Buffer the stream like Salvage: resynchronization needs random
-	// access, and salvage is an offline recovery path, not a hot one.
-	data, err := io.ReadAll(bufio.NewReaderSize(pr.f, 1<<20))
-	if err != nil {
-		return fmt.Errorf("dataset: salvage read: %w", err)
-	}
-
-	var bufs pools
-	type job struct {
-		idx     int
-		payload []byte
-	}
-	jobs := make(chan job, pr.opts.Workers)
-	results := make(chan result, pr.opts.Workers*2)
-
-	// Scanner: the sequential marker-resync walk, checksums included —
-	// the resync position depends on each candidate frame's checksum
-	// verdict, so deferring verification would change what salvage
-	// recovers. Workers get the already-verified payloads to decode.
-	var (
-		rep     telemetry.SalvageReport
-		scanErr error
-	)
-	go scanLabeled(func() {
-		defer close(jobs)
-		idx := 0
-		rep, scanErr = telemetry.SalvageBlocks(data, func(payload []byte, count int) {
-			select {
-			case jobs <- job{idx: idx, payload: payload}:
-				idx++
-			case <-ctx.Done():
-			}
-		})
-	})
-
-	var wg sync.WaitGroup
-	for w := 0; w < pr.opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerLabeled("decode", w, func() {
-				for j := range jobs {
-					recs := telemetry.AppendRecords(bufs.getRecs(), j.payload)
-					select {
-					case results <- result{idx: j.idx, recs: recs}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			})
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	if err := pr.deliver(cancel, results, fn, &bufs, nil); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// The report is safe to read: SalvageBlocks returned before the
-	// deferred close(jobs), which happens-before the pool drained and
-	// deliver observed the closed results channel.
-	if scanErr != nil {
-		return scanErr
-	}
-	pr.coverage, pr.covered = rep, true
-	return nil
-}
-
-// deliver consumes results until the pool drains, holding out-of-order
-// blocks back until their predecessors have been handed to fn. On the
-// first error it cancels the pipeline and keeps draining so no
-// goroutine is left blocked on a send. A non-nil rep counts each
-// successfully delivered block (strict reads; tolerant reads take their
-// coverage from the salvage scan instead).
-func (pr *ParallelReader) deliver(cancel context.CancelFunc, results <-chan result, fn func(Batch) error, bufs *pools, rep *telemetry.SalvageReport) error {
-	var (
-		firstErr error
-		next     int
-		held     = make(map[int]result)
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	for r := range results {
-		// An error waits its turn like any block.
-		held[r.idx] = r
-		for {
-			h, ok := held[next]
-			if !ok {
-				break
-			}
-			delete(held, next)
-			if firstErr != nil {
-				bufs.putRecs(h.recs)
-				next++
-				continue
-			}
-			if h.err != nil {
-				fail(h.err)
-				next++
-				continue
-			}
-			if err := fn(Batch{Index: next, Recs: h.recs}); err != nil {
-				fail(err)
-			} else if rep != nil {
-				rep.RecordBlock(h.codec, h.cksum, len(h.recs))
-			}
-			bufs.putRecs(h.recs)
-			next++
-		}
-	}
-	return firstErr
-}
-
-// WorkerPanicError reports a panic that escaped a ForEachWorker
-// callback (or the decode feeding it). The read returns it as an
-// ordinary error so callers can tell "a worker blew up" from "a block
-// was corrupt"; Stack is the panicking goroutine's stack at recover.
+// WorkerPanicError reports a panic recovered on a decode worker: in the
+// decode itself or, for ForEachWorker, in the callback it runs. The read
+// returns it as an ordinary error so callers can tell "a worker blew
+// up" from "a block was corrupt"; Stack is the panicking goroutine's
+// stack at recover.
 type WorkerPanicError struct {
 	Worker int
 	Value  any
@@ -453,211 +273,228 @@ type WorkerPanicError struct {
 }
 
 func (e *WorkerPanicError) Error() string {
-	return fmt.Sprintf("dataset: ForEachWorker worker %d panicked: %v", e.Worker, e.Value)
+	return fmt.Sprintf("dataset: decode worker %d panicked: %v", e.Worker, e.Value)
 }
 
-// ForEachWorker is the per-worker consumption mode: newWorker is called
-// serially (worker 0 first, before any goroutine starts) to build one
-// callback per decode worker, and each worker then invokes its own
-// callback inline on every block it decodes — no ordered-delivery
-// heap, no cross-goroutine batch handoff, no router. Batches arrive in
-// arbitrary order and their record slices are recycled as soon as the
-// callback returns. A given callback is only ever invoked from its own
-// worker goroutine, so worker-local state needs no locking, while the
-// serial factory phase may freely touch shared state. Tolerant selects
-// the salvage scan and fills Coverage on success. The first decode or
-// callback error cancels the read and is returned; a callback panic is
-// recovered and returned as a *WorkerPanicError. The reader is
-// single-use, like ForEachBatch.
-func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(worker int) func(Batch) error) error {
-	if pr.consumed {
-		return errors.New("dataset: stream already consumed")
-	}
-	pr.consumed = true
-	fns := make([]func(Batch) error, pr.opts.Workers)
-	for w := range fns {
-		fns[w] = newWorker(w)
-	}
-	if pr.opts.Tolerant {
-		return pr.workerTolerant(ctx, fns)
-	}
-	return pr.workerStrict(ctx, fns)
+// item is one block on its way through the pool. The scan sets idx
+// and blk, plus decoded for the salvage scan, which has already
+// verified and codec-decoded the payload; or it sets err to a
+// positioned scan error. pass marks a block the sink writes through
+// undecoded. A decode worker fills recs, or err with the block's decode
+// error. The sink owns recs and recycles them.
+type item struct {
+	idx     int
+	blk     telemetry.RawBlock
+	decoded []byte
+	pass    bool
+	recs    []telemetry.Observation
+	err     error
 }
 
-// failFunc returns a first-error-wins recorder: the first failure
-// cancels the pipeline, later ones are dropped. The recorded error is
-// read only after every writer goroutine has been joined.
-func failFunc(cancel context.CancelFunc, firstErr *error) func(error) {
-	var mu sync.Mutex
-	return func(err error) {
-		mu.Lock()
-		if *firstErr == nil {
-			*firstErr = err
-			cancel()
-		}
-		mu.Unlock()
+// deliver hands a decoded block to fn and, once fn accepts it, counts
+// it into rep: the strict-coverage tally both sinks keep the same way.
+func (it *item) deliver(fn func(Batch) error, rep *telemetry.SalvageReport) error {
+	if err := fn(Batch{Index: it.idx, Recs: it.recs}); err != nil {
+		return err
 	}
+	rep.RecordBlock(it.blk.Codec, it.blk.Checksummed(), len(it.recs))
+	return nil
 }
 
-func (pr *ParallelReader) workerStrict(ctx context.Context, fns []func(Batch) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// scanFunc walks a stream in order on the pool's scan goroutine and
+// hands each block to emit. emit reports false once the pass is
+// cancelled; the scan may stop there.
+type scanFunc func(emit func(item) bool)
 
-	var (
-		bufs     pools
-		firstErr error
-	)
-	fail := failFunc(cancel, &firstErr)
-
-	jobs := make(chan telemetry.RawBlock, pr.opts.Workers)
-	go scanLabeled(func() {
-		defer close(jobs)
-		br := telemetry.NewBlockReader(bufio.NewReaderSize(pr.f, 1<<20))
-		for {
-			blk, err := br.Next(bufs.getPayload())
+// blockScan is the strict scan: sequential frame I/O through a
+// BlockReader, with checksums left to the decode workers. A scan error
+// is emitted at the index the next block would have carried, so the
+// ordered sink fails only after every block before the damage has been
+// delivered, like the sequential reader.
+func (p *blockPool) blockScan(r io.Reader) scanFunc {
+	return func(emit func(item) bool) {
+		br := telemetry.NewBlockReader(bufio.NewReaderSize(r, 1<<20))
+		for next := 0; ; {
+			blk, err := br.Next(p.bufs.getPayload())
 			if err == io.EOF {
 				return
 			}
 			if err != nil {
-				fail(err)
+				emit(item{idx: next, err: err})
 				return
 			}
-			select {
-			case jobs <- blk:
-			case <-ctx.Done():
+			next = blk.Index + 1
+			if !emit(item{idx: blk.Index, blk: blk}) {
 				return
 			}
 		}
-	})
-
-	reports := make([]telemetry.SalvageReport, len(fns))
-	var wg sync.WaitGroup
-	for w := range fns {
-		wg.Add(1)
-		go func(w int, fn func(Batch) error) {
-			defer wg.Done()
-			workerLabeled("decode+analyze", w, func() {
-				defer func() {
-					if v := recover(); v != nil {
-						fail(&WorkerPanicError{Worker: w, Value: v, Stack: debug.Stack()})
-						for range jobs {
-							// Drain so the scanner never blocks on a
-							// send this worker would have consumed.
-						}
-					}
-				}()
-				var scratch []byte
-				for blk := range jobs {
-					if ctx.Err() != nil {
-						continue // cancelled: drain without decoding
-					}
-					recs, sc, err := blk.AppendDecoded(bufs.getRecs(), scratch)
-					scratch = sc
-					bufs.putPayload(blk.Payload)
-					if err == nil {
-						err = fn(Batch{Index: blk.Index, Recs: recs})
-						if err == nil {
-							reports[w].RecordBlock(blk.Codec, blk.Checksummed(), len(recs))
-						}
-					}
-					bufs.putRecs(recs)
-					if err != nil {
-						fail(err)
-					}
-				}
-			})
-		}(w, fns[w])
 	}
-	wg.Wait()
-	// Workers only exit after the scanner closed jobs, so every fail()
-	// happens-before this read.
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	pr.finishStrict(reports...)
-	return nil
 }
 
-func (pr *ParallelReader) workerTolerant(ctx context.Context, fns []func(Batch) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Buffer the stream like Salvage: resynchronization needs random
-	// access (see runTolerant).
-	data, err := io.ReadAll(bufio.NewReaderSize(pr.f, 1<<20))
-	if err != nil {
-		return fmt.Errorf("dataset: salvage read: %w", err)
+// salvageScan is the tolerant scan: the sequential marker-resync walk
+// over a buffered stream, checksums and codec decode included — the
+// resync position depends on each candidate frame's checksum verdict,
+// so deferring verification would change what salvage recovers. Block
+// indexes count intact blocks only. plan, when non-nil, marks the
+// blocks to pass through undecoded; merge supplies it. The walk's
+// report and error are stored in rep and scanErr before the scan
+// returns, so they are safe to read once the pass is over.
+func salvageScan(data []byte, plan func(telemetry.RawBlock) bool, rep *telemetry.SalvageReport, scanErr *error) scanFunc {
+	return func(emit func(item) bool) {
+		*rep, *scanErr = telemetry.SalvageRawBlocks(data, func(b telemetry.RawBlock, decoded []byte) {
+			emit(item{idx: b.Index, blk: b, decoded: decoded, pass: plan != nil && plan(b)})
+		})
 	}
+}
 
-	var (
-		bufs     pools
-		firstErr error
-	)
-	fail := failFunc(cancel, &firstErr)
+// blockPool is one parallel pass over a stream: its cancellation, its
+// scratch buffers and the first error that ended it.
+type blockPool struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	bufs   pools
+	mu     sync.Mutex
+	err    error
+}
 
-	type job struct {
-		idx     int
-		payload []byte
+func newBlockPool(ctx context.Context) *blockPool {
+	p := &blockPool{}
+	p.ctx, p.cancel = context.WithCancel(ctx)
+	return p
+}
+
+// fail records the first error and cancels the pass; later errors are
+// dropped.
+func (p *blockPool) fail(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+		p.cancel()
 	}
-	jobs := make(chan job, pr.opts.Workers)
-	var (
-		rep     telemetry.SalvageReport
-		scanErr error
-	)
-	go scanLabeled(func() {
+	p.mu.Unlock()
+}
+
+// result is the outcome of a pass whose goroutines have all exited:
+// the first recorded error, else the caller's cancellation, else nil.
+func (p *blockPool) result() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil {
+		return p.err
+	}
+	return p.ctx.Err()
+}
+
+// run is the block pool. scan runs on a goroutine labelled stage=scan;
+// workers goroutines labelled stage (and worker=N) decode what it emits
+// and pass every item, decode error included, to sink on the decoding
+// worker. Each worker keeps its own decompression scratch, so a
+// compressed stream decodes with no steady-state allocation. A sink
+// error or a recovered worker panic fails the pass. run returns once
+// the scan and every worker have exited.
+func (p *blockPool) run(workers int, stage string, scan scanFunc, sink func(w int, it item) error) {
+	// One queued block per worker lets the scan read ahead while every
+	// worker is busy.
+	jobs := make(chan item, workers)
+	go pprof.Do(context.Background(), pprof.Labels("stage", "scan"), func(context.Context) {
 		defer close(jobs)
-		idx := 0
-		rep, scanErr = telemetry.SalvageBlocks(data, func(payload []byte, count int) {
+		scan(func(it item) bool {
 			select {
-			case jobs <- job{idx: idx, payload: payload}:
-				idx++
-			case <-ctx.Done():
+			case jobs <- it:
+				return true
+			case <-p.ctx.Done():
+				return false
 			}
 		})
 	})
-
 	var wg sync.WaitGroup
-	for w := range fns {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int, fn func(Batch) error) {
+		go pprof.Do(context.Background(), pprof.Labels("stage", stage, "worker", strconv.Itoa(w)), func(context.Context) {
 			defer wg.Done()
-			workerLabeled("decode+analyze", w, func() {
-				defer func() {
-					if v := recover(); v != nil {
-						fail(&WorkerPanicError{Worker: w, Value: v, Stack: debug.Stack()})
-						for range jobs {
-						}
-					}
-				}()
-				for j := range jobs {
-					if ctx.Err() != nil {
-						continue
-					}
-					recs := telemetry.AppendRecords(bufs.getRecs(), j.payload)
-					err := fn(Batch{Index: j.idx, Recs: recs})
-					bufs.putRecs(recs)
-					if err != nil {
-						fail(err)
+			defer func() {
+				if v := recover(); v != nil {
+					p.fail(&WorkerPanicError{Worker: w, Value: v, Stack: debug.Stack()})
+					for range jobs {
+						// Drain so the scan never blocks on a send this
+						// worker would have taken.
 					}
 				}
-			})
-		}(w, fns[w])
+			}()
+			var scratch []byte
+			for it := range jobs {
+				if p.ctx.Err() != nil {
+					continue // cancelled: drain without decoding
+				}
+				switch {
+				case it.err != nil, it.pass:
+				case it.decoded != nil:
+					it.recs = telemetry.AppendRecords(p.bufs.getRecs(), it.decoded)
+				default:
+					it.recs, scratch, it.err = it.blk.AppendDecoded(p.bufs.getRecs(), scratch)
+					p.bufs.putPayload(it.blk.Payload)
+				}
+				if err := sink(w, it); err != nil {
+					p.fail(err)
+				}
+			}
+		})
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+}
+
+// ordered runs the pool with the ordered sink: workers send their
+// items down a channel, and this loop, on the calling goroutine, holds
+// out-of-order blocks back and passes each to deliver in stream order.
+// An error item waits its turn like any block, so a positioned error
+// fails the pass only after every block before it was delivered.
+// Nothing is delivered after the first error or cancellation.
+func (p *blockPool) ordered(workers int, scan scanFunc, deliver func(item) error) error {
+	// Two finished blocks per worker let workers run ahead of a slow
+	// predecessor the loop is still waiting for.
+	results := make(chan item, workers*2)
+	go func() {
+		p.run(workers, "decode", scan, func(_ int, it item) error {
+			select {
+			case results <- it:
+			case <-p.ctx.Done():
+				p.bufs.putRecs(it.recs)
+			}
+			return nil
+		})
+		close(results)
+	}()
+	next, held := 0, make(map[int]item)
+	for it := range results {
+		held[it.idx] = it
+		for h, ok := held[next]; ok; h, ok = held[next] {
+			delete(held, next)
+			next++
+			if p.ctx.Err() == nil {
+				err := h.err
+				if err == nil {
+					err = deliver(h)
+				}
+				if err != nil {
+					p.fail(err)
+				}
+			}
+			p.bufs.putRecs(h.recs)
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// rep/scanErr were assigned before the scanner's deferred
-	// close(jobs), which happens-before every worker's exit.
-	if scanErr != nil {
-		return scanErr
-	}
-	pr.coverage, pr.covered = rep, true
-	return nil
+	return p.result()
+}
+
+// perWorker runs the pool with the per-worker sink: worker w passes
+// each block it decodes to fns[w] inline and counts strict coverage
+// into reports[w].
+func (p *blockPool) perWorker(scan scanFunc, fns []func(Batch) error, reports []telemetry.SalvageReport) error {
+	p.run(len(fns), "decode+analyze", scan, func(w int, it item) error {
+		defer p.bufs.putRecs(it.recs)
+		if it.err != nil {
+			return it.err
+		}
+		return it.deliver(fns[w], &reports[w])
+	})
+	return p.result()
 }

@@ -36,7 +36,10 @@ func readParallel(t *testing.T, path string, opts ParallelOptions) []telemetry.O
 	}
 	defer pr.Close()
 	var out []telemetry.Observation
-	if err := pr.ForEach(func(o telemetry.Observation) { out = append(out, o) }); err != nil {
+	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
+		out = append(out, b.Recs...)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -136,15 +139,12 @@ func TestParallelReaderRawStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pr.Close()
-	if !pr.Raw() {
+	raw := pr.Raw()
+	pr.Close()
+	if !raw {
 		t.Fatal("raw stream not detected")
 	}
-	var got []telemetry.Observation
-	if err := pr.ForEach(func(o telemetry.Observation) { got = append(got, o) }); err != nil {
-		t.Fatal(err)
-	}
-	sameRecords(t, got, in)
+	sameRecords(t, readParallel(t, path, ParallelOptions{Workers: 4}), in)
 }
 
 // A damaged stream in strict mode fails the read with the sequential
@@ -334,7 +334,8 @@ func TestParallelReaderSingleUse(t *testing.T) {
 	if err := pr.ForEachBatch(context.Background(), func(Batch) error { return nil }); err == nil {
 		t.Fatal("second consume must fail")
 	}
-	if err := pr.ForEach(func(telemetry.Observation) {}); err == nil {
-		t.Fatal("ForEach after consume must fail")
+	noop := func(int) func(Batch) error { return func(Batch) error { return nil } }
+	if err := pr.ForEachWorker(context.Background(), noop); err == nil {
+		t.Fatal("ForEachWorker after consume must fail")
 	}
 }

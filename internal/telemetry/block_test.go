@@ -175,8 +175,9 @@ func TestBlockReaderV1TruncatedTail(t *testing.T) {
 	}
 }
 
-// SalvageBlocks must report exactly what Salvage reports and deliver
-// the same records, both on intact and damaged streams.
+// SalvageRawBlocks must report exactly what Salvage reports and deliver
+// the same records, in intact blocks indexed from 0, both on intact and
+// damaged streams.
 func TestSalvageBlocksMatchesSalvage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -196,11 +197,16 @@ func TestSalvageBlocksMatchesSalvage(t *testing.T) {
 			wantRep, werr := SalvageBytes(data, func(o Observation) { want = append(want, o) })
 
 			var got []Observation
-			gotRep, gerr := SalvageBlocks(data, func(payload []byte, count int) {
+			next := 0
+			gotRep, gerr := SalvageRawBlocks(data, func(b RawBlock, decoded []byte) {
+				if b.Index != next {
+					t.Fatalf("block index %d, want %d", b.Index, next)
+				}
+				next++
 				before := len(got)
-				got = AppendRecords(got, payload)
-				if len(got)-before != count {
-					t.Fatalf("payload decoded to %d records, header says %d", len(got)-before, count)
+				got = AppendRecords(got, decoded)
+				if len(got)-before != b.Count {
+					t.Fatalf("payload decoded to %d records, header says %d", len(got)-before, b.Count)
 				}
 			})
 			if (werr == nil) != (gerr == nil) {
@@ -227,11 +233,14 @@ func TestSalvageBlocksV1Chunks(t *testing.T) {
 	data := v1Stream(t, benchObs(2*DefaultBlockRecords+100))
 	visits := 0
 	total := 0
-	rep, err := SalvageBlocks(data, func(payload []byte, count int) {
+	rep, err := SalvageRawBlocks(data, func(b RawBlock, decoded []byte) {
+		if b.Index != visits {
+			t.Fatalf("pseudo-block index %d, want %d", b.Index, visits)
+		}
 		visits++
-		total += count
-		if count > DefaultBlockRecords {
-			t.Fatalf("pseudo-block of %d records exceeds cap", count)
+		total += b.Count
+		if b.Count > DefaultBlockRecords || len(decoded) != b.Count*recordSize {
+			t.Fatalf("pseudo-block of %d records (%d bytes) exceeds cap or is torn", b.Count, len(decoded))
 		}
 	})
 	if err != nil {

@@ -552,36 +552,22 @@ func salvageBytes(data []byte, emit EmitFunc) (SalvageReport, error) {
 	return salvageWalk(data, visit)
 }
 
-// SalvageBlocks walks data exactly like Salvage but delivers the intact
-// decoded block payloads — already checksum-verified and codec-decoded,
-// each a whole number of records — instead of decoded records, so a
-// caller can fan record decoding out to a worker pool while the
-// marker-resync scan stays sequential (the scan must know each
-// candidate frame's checksum verdict before choosing the next scan
-// position, so the verify step cannot be deferred without changing
-// which bytes salvage recovers). Identity payloads alias data and stay
-// valid as long as data does; codec-encoded payloads are decoded into a
-// fresh buffer per block, so every delivered slice is safe to retain or
-// hand to another goroutine. A v1 stream, which has no frames, is
-// delivered in pseudo-blocks of at most DefaultBlockRecords records;
-// the report still counts it as one block.
-func SalvageBlocks(data []byte, visit func(payload []byte, count int)) (SalvageReport, error) {
-	if visit == nil {
-		return salvageWalk(data, nil)
-	}
-	return salvageWalk(data, func(b RawBlock, decoded []byte) {
-		visit(decoded, b.Count)
-	})
-}
-
 // SalvageRawBlocks walks data exactly like Salvage but delivers each
 // intact block twice over: the RawBlock as stored on disk (payload
 // still codec-encoded, checksum already verified against it) and its
-// decoded payload. Merge uses the stored form to pass aligned blocks
-// through without a re-encode and the decoded form for everything
-// else. The same aliasing rules as SalvageBlocks apply: b.Payload and
-// an identity block's decoded slice alias data; a codec-encoded
-// block's decoded slice is freshly allocated.
+// decoded payload, a whole number of records. A caller can then fan
+// record decoding out to a worker pool while the marker-resync scan
+// stays sequential (the scan must know each candidate frame's checksum
+// verdict before choosing the next scan position, so the verify step
+// cannot be deferred without changing which bytes salvage recovers).
+// Merge also uses the stored form to pass aligned blocks through
+// without a re-encode. b.Index counts intact blocks from 0. b.Payload
+// and an identity block's decoded slice alias data and stay valid as
+// long as data does; a codec-encoded block's decoded slice is freshly
+// allocated, so every delivered slice is safe to hand to another
+// goroutine. A v1 stream, which has no frames, is delivered in
+// pseudo-blocks of at most DefaultBlockRecords records; the report
+// still counts it as one block.
 func SalvageRawBlocks(data []byte, visit func(b RawBlock, decoded []byte)) (SalvageReport, error) {
 	return salvageWalk(data, visit)
 }

@@ -52,13 +52,13 @@ func (e *ShardPanicError) Error() string {
 // Abusive telemetry is not included: attacker volume is small enough to
 // stream serially afterwards.
 func (s *Sim) GenerateParallelCtx(ctx context.Context, from, to simtime.Day, shards int, newConsumer func() telemetry.EmitFunc) error {
-	return s.GenerateParallelRangesCtx(ctx, from, to, shards, func(_, _, _ int) telemetry.EmitFunc {
-		return newConsumer()
+	return s.GenerateParallelSinksCtx(ctx, from, to, shards, func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
+		return newConsumer(), nil
 	})
 }
 
 // ShardRanges returns the contiguous user-index ranges [lo, hi) that
-// GenerateParallelRangesCtx assigns to each shard for the given shard
+// GenerateParallelSinksCtx assigns to each shard for the given shard
 // count (0 means GOMAXPROCS, clamped to the population size). Sharded
 // sinks use it to size manifests before generation starts.
 func (s *Sim) ShardRanges(shards int) [][2]int {
@@ -85,23 +85,16 @@ func (s *Sim) ShardRanges(shards int) [][2]int {
 	return out
 }
 
-// GenerateParallelRangesCtx is GenerateParallelCtx with the shard's
-// identity exposed: newConsumer receives the shard index and its
-// user-index range [lo, hi), which per-shard sinks (sharded dataset
-// part files, manifest bookkeeping) need to label their output.
-// Factories run serially, in shard order, before any generation
-// starts, so they may append to shared state without locking.
-func (s *Sim) GenerateParallelRangesCtx(ctx context.Context, from, to simtime.Day, shards int, newConsumer func(shard, lo, hi int) telemetry.EmitFunc) error {
-	return s.GenerateParallelSinksCtx(ctx, from, to, shards, func(sh, lo, hi int) (telemetry.EmitFunc, func(error) error) {
-		return newConsumer(sh, lo, hi), nil
-	})
-}
-
-// GenerateParallelSinksCtx is GenerateParallelRangesCtx for sinks with
-// per-shard completion work: newSink returns the shard's emit func plus
-// an optional done hook. done runs on the shard's goroutine as soon as
-// that shard's user range finishes generating — before sibling shards
-// complete — receiving the shard's generation error (nil on success,
+// GenerateParallelSinksCtx is GenerateParallelCtx for sinks that need
+// the shard's identity and per-shard completion work: newSink receives
+// the shard index and its user-index range [lo, hi), which per-shard
+// sinks (sharded dataset part files, manifest bookkeeping) need to
+// label their output, and returns the shard's emit func plus an
+// optional done hook. Factories run serially, in shard order, before
+// any generation starts, so they may append to shared state without
+// locking. done runs on the shard's goroutine as soon as that shard's
+// user range finishes generating — before sibling shards complete —
+// receiving the shard's generation error (nil on success,
 // including the factory-serial guarantee: a done hook may not touch
 // shared state without locking). The error done returns replaces the
 // shard's result, so a sink can finalize its output file the moment its
