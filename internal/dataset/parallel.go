@@ -428,6 +428,8 @@ func (p *blockPool) run(workers int, stage string, scan scanFunc, sink func(w in
 				}
 				switch {
 				case it.err != nil, it.pass:
+					// Nothing to decode: a positioned error, or a block
+					// the sink writes through as stored.
 				case it.decoded != nil:
 					it.recs = telemetry.AppendRecords(p.bufs.getRecs(), it.decoded)
 				default:
