@@ -44,7 +44,7 @@ func sequentialBaseline(t *testing.T, path string) analyzeSet {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.ForEach(base.set.Emit()); err != nil {
+	if err := r.ForEach(base.set.Observe); err != nil {
 		t.Fatal(err)
 	}
 	return base

@@ -1,7 +1,6 @@
 package userv6
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -74,23 +73,5 @@ func (s analyzeSet) assertEqual(t *testing.T, want analyzeSet, label string) {
 	}
 	if !reflect.DeepEqual(s.prev.TopASNs(1, 0, nil), want.prev.TopASNs(1, 0, nil)) {
 		t.Fatalf("%s: TopASNs differ", label)
-	}
-}
-
-// AnalyzeParallelCtx must populate every registered analyzer exactly as
-// a serial generate-and-observe pass does, at any shard count.
-func TestAnalyzeParallelCtxMatchesSerial(t *testing.T) {
-	sim := NewSim(DefaultScenario(2_000))
-	from, to := AnalysisWeek()
-
-	serial := newAnalyzeSet()
-	sim.Generate(from, to, serial.set.Emit())
-
-	for _, shards := range []int{1, 4} {
-		par := newAnalyzeSet()
-		if err := sim.AnalyzeParallelCtx(context.Background(), from, to, shards, par.set, true); err != nil {
-			t.Fatal(err)
-		}
-		par.assertEqual(t, serial, "shards=4")
 	}
 }

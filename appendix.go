@@ -7,10 +7,8 @@ package userv6
 // (lockdown) analysis week.
 
 import (
-	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
-	"userv6/internal/telemetry"
 )
 
 // PandemicWindowMetrics are the Appendix-A metrics for one week window.
@@ -31,43 +29,33 @@ type PandemicComparison struct {
 	Pre, Lockdown PandemicWindowMetrics
 }
 
-// ComparePandemic runs the Appendix-A robustness check.
-func (s *Sim) ComparePandemic() PandemicComparison {
-	return PandemicComparison{
-		Pre:      s.windowMetrics(20, 26),
-		Lockdown: s.windowMetrics(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd),
-	}
+// ComparePandemic registers the Appendix-A robustness check.
+func (st *Study) ComparePandemic() func() PandemicComparison {
+	pre := st.windowMetrics(20, 26)
+	lockdown := st.windowMetrics(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd)
+	return func() PandemicComparison { return PandemicComparison{Pre: pre(), Lockdown: lockdown()} }
 }
 
-func (s *Sim) windowMetrics(from, to simtime.Day) PandemicWindowMetrics {
-	uc := core.NewUserCentricFor(false)
+func (st *Study) windowMetrics(from, to simtime.Day) func() PandemicWindowMetrics {
+	uc := st.userCentric(benignPop, from, to)
 	// Lifespans with a 14-day lookback so both windows use the same
 	// horizon (the February window has less history before it).
-	lookback := to - 13
-	if lookback < 0 {
-		lookback = 0
-	}
-	ls := core.NewLifespans(to, 32, 128).Restrict(false)
-	s.Benign.Generate(lookback, to, func(o telemetry.Observation) {
-		ls.Observe(o)
-		if o.Day >= from {
-			uc.Observe(o)
+	ls := st.lifespans(benignPop, to, 14, 32, 128)
+	return func() PandemicWindowMetrics {
+		m := PandemicWindowMetrics{From: from, To: to}
+		m.MedianV4Addrs = uc.AddrsPerUser(netaddr.IPv4).Median()
+		m.MedianV6Addrs = uc.AddrsPerUser(netaddr.IPv6).Median()
+		for _, span := range uc.PrefixSpans([]int{64}) {
+			if span.Length == 64 {
+				m.SingleSlash64Share = span.One
+			}
 		}
-	})
-
-	m := PandemicWindowMetrics{From: from, To: to}
-	m.MedianV4Addrs = uc.AddrsPerUser(netaddr.IPv4).Median()
-	m.MedianV6Addrs = uc.AddrsPerUser(netaddr.IPv6).Median()
-	for _, span := range uc.PrefixSpans([]int{64}) {
-		if span.Length == 64 {
-			m.SingleSlash64Share = span.One
+		if h := ls.AgeHist(netaddr.IPv4, 32); h.N() > 0 {
+			m.FreshV4 = h.CDFAt(0)
 		}
+		if h := ls.AgeHist(netaddr.IPv6, 128); h.N() > 0 {
+			m.FreshV6 = h.CDFAt(0)
+		}
+		return m
 	}
-	if h := ls.AgeHist(netaddr.IPv4, 32); h.N() > 0 {
-		m.FreshV4 = h.CDFAt(0)
-	}
-	if h := ls.AgeHist(netaddr.IPv6, 128); h.N() > 0 {
-		m.FreshV6 = h.CDFAt(0)
-	}
-	return m
 }

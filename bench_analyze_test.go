@@ -54,7 +54,7 @@ func BenchmarkAnalyzeSequential(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := r.ForEach(s.set.Emit()); err != nil {
+		if err := r.ForEach(s.set.Observe); err != nil {
 			b.Fatal(err)
 		}
 		r.Close()

@@ -8,13 +8,6 @@ import (
 	"userv6/internal/report"
 )
 
-func init() {
-	experimentOrder = append(experimentOrder, "scrapers", "hijacks", "pandemic")
-	experiments["scrapers"] = experiment{"logged-out scraper defense (§8 future work)", runScrapers}
-	experiments["hijacks"] = experiment{"account-hijack detection (§8 future work)", runHijacks}
-	experiments["pandemic"] = experiment{"Appendix A pre/post-lockdown robustness", runPandemic}
-}
-
 func runScrapers(sim *userv6.Sim) {
 	t := report.NewTable("granularity", "budget/day", "scraper volume blocked", "benign volume lost")
 	for _, r := range sim.ScraperDefense([]uint64{100, 200, 500, 1000}) {
@@ -36,8 +29,7 @@ func runHijacks(sim *userv6.Sim) {
 	fmt.Println("\ndetector: established account suddenly on hosting/proxy space.")
 }
 
-func runPandemic(sim *userv6.Sim) {
-	c := sim.ComparePandemic()
+func runPandemic(c userv6.PandemicComparison) {
 	t := report.NewTable("metric", "pre-lockdown (Feb)", "lockdown (Apr)")
 	t.Row("median v4 addrs/user", c.Pre.MedianV4Addrs, c.Lockdown.MedianV4Addrs)
 	t.Row("median v6 addrs/user", c.Pre.MedianV6Addrs, c.Lockdown.MedianV6Addrs)

@@ -5,19 +5,10 @@ import (
 	"os"
 
 	"userv6"
+	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/report"
 )
-
-func init() {
-	experimentOrder = append(experimentOrder,
-		"segments", "blocklist-sweep", "ratelimit-sweep", "sketched", "ttlcurve")
-	experiments["segments"] = experiment{"per-network-type behavior (§8 future work)", runSegments}
-	experiments["blocklist-sweep"] = experiment{"multi-day blocklist policies with TTLs", runBlocklistSweep}
-	experiments["ratelimit-sweep"] = experiment{"per-prefix entity caps vs collateral", runRateLimitSweep}
-	experiments["sketched"] = experiment{"fixed-memory heavy-hitter pipeline vs exact", runSketched}
-	experiments["ttlcurve"] = experiment{"indicator recall decay by age", runTTLCurve}
-}
 
 func runSegments(sim *userv6.Sim) {
 	t := report.NewTable("network kind", "users", "v6 users", "v6 requests", "med v4 addrs", "med v6 addrs")
@@ -82,13 +73,7 @@ func runTTLCurve(sim *userv6.Sim) {
 	fmt.Println("\nindicator value decays fastest at /128; /64 buys roughly one extra day.")
 }
 
-func init() {
-	experimentOrder = append(experimentOrder, "churn")
-	experiments["churn"] = experiment{"causes of new IPv6 addresses (§8 future work)", runChurn}
-}
-
-func runChurn(sim *userv6.Sim) {
-	b := sim.ChurnReasons()
+func runChurn(b core.ChurnBreakdown) {
 	report.NewTable("cause", "new pairs", "share").
 		Row("IID rotation (same /64)", b.IIDRotation, report.Percent(b.Share(0))).
 		Row("subnet move (same /44)", b.SubnetMove, report.Percent(b.Share(1))).
@@ -97,14 +82,9 @@ func runChurn(sim *userv6.Sim) {
 	fmt.Printf("\n%d new (user, IPv6 address) pairs attributed\n", b.Total)
 }
 
-func init() {
-	experimentOrder = append(experimentOrder, "fig12")
-	experiments["fig12"] = experiment{"per-country IPv6 ratios (choropleth as table)", runFig12}
-}
-
-func runFig12(sim *userv6.Sim) {
+func runFig12(rows []core.RatioRow) {
 	t := report.NewTable("country", "v6 user ratio", "users")
-	for _, row := range sim.CountryRatios() {
+	for _, row := range rows {
 		t.Row(row.Country, report.Percent(row.Ratio), row.Users)
 	}
 	t.Write(os.Stdout)

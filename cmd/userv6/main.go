@@ -11,12 +11,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"userv6"
+	"userv6/internal/core"
 	"userv6/internal/report"
 	"userv6/internal/simtime"
 	"userv6/internal/stats"
@@ -27,8 +30,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "scenario seed")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: userv6 [-users N] [-seed S] <experiment>\n\nexperiments:\n")
-		for _, e := range experimentOrder {
-			fmt.Fprintf(os.Stderr, "  %-11s %s\n", e, experiments[e].desc)
+		for _, e := range experiments {
+			fmt.Fprintf(os.Stderr, "  %-11s %s\n", e.name, e.desc)
 		}
 		fmt.Fprintln(os.Stderr, "  all         run every experiment")
 		flag.PrintDefaults()
@@ -39,59 +42,96 @@ func main() {
 		os.Exit(2)
 	}
 	name := flag.Arg(0)
-
-	sim := userv6.NewSim(userv6.DefaultScenario(*users).WithSeed(*seed))
-	fmt.Printf("# userv6: %d users, seed %d (reference scale %.2f)\n\n", *users, *seed, sim.Scenario.Scale())
-
-	if name == "all" {
-		for _, e := range experimentOrder {
-			fmt.Printf("== %s: %s ==\n", e, experiments[e].desc)
-			experiments[e].run(sim)
-			fmt.Println()
-		}
-		return
-	}
-	exp, ok := experiments[name]
-	if !ok {
+	all := name == "all"
+	run := slices.DeleteFunc(slices.Clone(experiments), func(e experiment) bool { return !all && e.name != name })
+	if len(run) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 		flag.Usage()
 		os.Exit(2)
 	}
-	exp.run(sim)
+
+	sim := userv6.NewSim(userv6.DefaultScenario(*users).WithSeed(*seed))
+	fmt.Printf("# userv6: %d users, seed %d (reference scale %.2f)\n\n", *users, *seed, sim.Scenario.Scale())
+
+	st := userv6.NewStudy(sim)
+	printers := make([]func(), len(run))
+	for i, e := range run {
+		printers[i] = e.register(st)
+	}
+	if err := st.Run(context.Background()); err != nil {
+		fmt.Fprintln(os.Stderr, "userv6:", err)
+		os.Exit(1)
+	}
+	for i, e := range run {
+		if all {
+			fmt.Printf("== %s: %s ==\n", e.name, e.desc)
+		}
+		printers[i]()
+		if all {
+			fmt.Println()
+		}
+	}
 }
 
 type experiment struct {
-	desc string
-	run  func(*userv6.Sim)
+	name, desc string
+	// register adds the experiment's analyzers to the study and returns
+	// the printer to call once the study has run.
+	register func(*userv6.Study) func()
 }
 
-var experimentOrder = []string{
-	"fig1", "table1", "table2", "clientaddr", "fig2", "fig3", "fig4",
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "outliers",
-	"advise",
+// experiments lists every experiment in the order `all` prints them.
+var experiments = []experiment{
+	{"fig1", "daily IPv6 share of users and requests", show(func(st *userv6.Study) func() []core.DayShare {
+		return st.Fig1(0, simtime.StudyDays-1)
+	}, runFig1)},
+	{"table1", "top ASNs by IPv6 user ratio", show(func(st *userv6.Study) func() userv6.Table1Result {
+		return st.Table1(userv6.AnalysisWeek())
+	}, runTable1)},
+	{"table2", "top countries by IPv6 user ratio, Jan vs Apr", show((*userv6.Study).Table2, runTable2)},
+	{"clientaddr", "§4.4 transition protocols and IID structure", show((*userv6.Study).ClientAddrPatterns, runClientAddr)},
+	{"fig2", "addresses per user (1 day / 7 days)", show((*userv6.Study).Fig2, runFig2)},
+	{"fig3", "addresses per abusive account (1 day)", show((*userv6.Study).Fig3, runFig3)},
+	{"fig4", "prefixes spanned per entity vs prefix length", show((*userv6.Study).Fig4, runFig4)},
+	{"fig5", "address lifespans for users", show(func(st *userv6.Study) func() userv6.LifespanResult {
+		return st.Fig5And6(false)
+	}, runFig5)},
+	{"fig6", "prefix lifespans vs prefix length", runFig6},
+	{"fig7", "users per address (day / week)", show((*userv6.Study).IPCentricWeek, runFig7)},
+	{"fig8", "populations on addresses with abusive accounts", show((*userv6.Study).IPCentricWeek, runFig8)},
+	{"fig9", "users per IPv6 prefix by length", show((*userv6.Study).IPCentricWeek, runFig9)},
+	{"fig10", "abusive/benign populations per prefix", show((*userv6.Study).IPCentricWeek, runFig10)},
+	{"fig11", "actioning ROC curves (day n -> n+1)", show((*userv6.Study).Fig11, runFig11)},
+	{"outliers", "RQ3 outlier summary", runOutliers},
+	{"advise", "§7.2 policy advisor", runAdvise},
+	{"scrapers", "logged-out scraper defense (§8 future work)", alone(runScrapers)},
+	{"hijacks", "account-hijack detection (§8 future work)", alone(runHijacks)},
+	{"pandemic", "Appendix A pre/post-lockdown robustness", show((*userv6.Study).ComparePandemic, runPandemic)},
+	{"segments", "per-network-type behavior (§8 future work)", alone(runSegments)},
+	{"blocklist-sweep", "multi-day blocklist policies with TTLs", alone(runBlocklistSweep)},
+	{"ratelimit-sweep", "per-prefix entity caps vs collateral", alone(runRateLimitSweep)},
+	{"sketched", "fixed-memory heavy-hitter pipeline vs exact", alone(runSketched)},
+	{"ttlcurve", "indicator recall decay by age", alone(runTTLCurve)},
+	{"churn", "causes of new IPv6 addresses (§8 future work)", show((*userv6.Study).ChurnReasons, runChurn)},
+	{"fig12", "per-country IPv6 ratios (choropleth as table)", show((*userv6.Study).CountryRatios, runFig12)},
 }
 
-var experiments = map[string]experiment{
-	"fig1":       {"daily IPv6 share of users and requests", runFig1},
-	"table1":     {"top ASNs by IPv6 user ratio", runTable1},
-	"table2":     {"top countries by IPv6 user ratio, Jan vs Apr", runTable2},
-	"clientaddr": {"§4.4 transition protocols and IID structure", runClientAddr},
-	"fig2":       {"addresses per user (1 day / 7 days)", runFig2},
-	"fig3":       {"addresses per abusive account (1 day)", runFig3},
-	"fig4":       {"prefixes spanned per entity vs prefix length", runFig4},
-	"fig5":       {"address lifespans for users", runFig5},
-	"fig6":       {"prefix lifespans vs prefix length", runFig6},
-	"fig7":       {"users per address (day / week)", runFig7},
-	"fig8":       {"populations on addresses with abusive accounts", runFig8},
-	"fig9":       {"users per IPv6 prefix by length", runFig9},
-	"fig10":      {"abusive/benign populations per prefix", runFig10},
-	"fig11":      {"actioning ROC curves (day n -> n+1)", runFig11},
-	"outliers":   {"RQ3 outlier summary", runOutliers},
-	"advise":     {"§7.2 policy advisor", runAdvise},
+// show registers an experiment through reg and prints the result it
+// reads with print.
+func show[T any](reg func(*userv6.Study) func() T, print func(T)) func(*userv6.Study) func() {
+	return func(st *userv6.Study) func() {
+		read := reg(st)
+		return func() { print(read()) }
+	}
 }
 
-func runFig1(sim *userv6.Sim) {
-	days := sim.Fig1(0, simtime.StudyDays-1)
+// alone adapts an experiment that generates its own streams when it
+// prints: it registers nothing on the study.
+func alone(run func(*userv6.Sim)) func(*userv6.Study) func() {
+	return func(st *userv6.Study) func() { return func() { run(st.Sim()) } }
+}
+
+func runFig1(days []core.DayShare) {
 	t := report.NewTable("day", "date", "weekend", "phase", "userV6", "reqV6")
 	for _, d := range days {
 		if int(d.Day)%7 != 0 && !d.Day.IsWeekend() && d.Day != simtime.StudyDays-1 {
@@ -112,9 +152,7 @@ func runFig1(sim *userv6.Sim) {
 	report.Plot(os.Stdout, 72, 14, userSeries, reqSeries)
 }
 
-func runTable1(sim *userv6.Sim) {
-	from, to := userv6.AnalysisWeek()
-	r := sim.Table1(from, to)
+func runTable1(r userv6.Table1Result) {
 	t := report.NewTable("#", "ASN", "name", "country", "users", "v6 ratio", "95% CI")
 	for i, row := range r.Rows {
 		lo, hi := stats.WilsonInterval(uint64(float64(row.Users)*row.Ratio+0.5), uint64(row.Users))
@@ -126,8 +164,7 @@ func runTable1(sim *userv6.Sim) {
 		r.MinUsersThreshold, r.QualifyingASNs, report.Percent(r.ZeroShare), report.Percent(r.UnderTenShare))
 }
 
-func runTable2(sim *userv6.Sim) {
-	r := sim.Table2()
+func runTable2(r userv6.Table2Result) {
 	t := report.NewTable("#", "country (Jan)", "ratio", "country (Apr)", "ratio")
 	for i := 0; i < len(r.January) || i < len(r.April); i++ {
 		var jc, ac string
@@ -146,8 +183,7 @@ func runTable2(sim *userv6.Sim) {
 		report.Percent(r.GreeceJan), report.Percent(r.GreeceApr))
 }
 
-func runClientAddr(sim *userv6.Sim) {
-	p := sim.ClientAddrPatterns()
+func runClientAddr(p core.ClientAddrPatterns) {
 	report.NewTable("metric", "value").
 		Row("IPv6 users", p.V6Users).
 		Row("Teredo share", report.Percent(p.TeredoShare)).
@@ -178,11 +214,10 @@ func addrsTable(r userv6.AddrsPerUserResult, entity string) {
 	)
 }
 
-func runFig2(sim *userv6.Sim) { addrsTable(sim.Fig2(), "users") }
-func runFig3(sim *userv6.Sim) { addrsTable(sim.Fig3(), "accounts") }
+func runFig2(r userv6.AddrsPerUserResult) { addrsTable(r, "users") }
+func runFig3(r userv6.AddrsPerUserResult) { addrsTable(r, "accounts") }
 
-func runFig4(sim *userv6.Sim) {
-	r := sim.Fig4()
+func runFig4(r userv6.Fig4Result) {
 	t := report.NewTable("prefix", "users =1", "users <=2", "users <=3", "AA =1", "AA <=2", "AA <=3")
 	for i := range r.Users {
 		u, a := r.Users[i], r.Abusive[i]
@@ -191,8 +226,7 @@ func runFig4(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig5(sim *userv6.Sim) {
-	r := sim.Fig5And6(false)
+func runFig5(r userv6.LifespanResult) {
 	t := report.NewTable("curve", "pairs", "age=0", "age>7d", "age>=27d")
 	t.Row("across v4 pairs", int(r.AgeV4.N()), r.AgeV4.CDFAt(0), r.AgeV4.FracAbove(7), r.AgeV4.FracAbove(26))
 	t.Row("across v6 pairs", int(r.AgeV6.N()), r.AgeV6.CDFAt(0), r.AgeV6.FracAbove(7), r.AgeV6.FracAbove(26))
@@ -206,26 +240,27 @@ func runFig5(sim *userv6.Sim) {
 	)
 }
 
-func runFig6(sim *userv6.Sim) {
-	for _, pop := range []struct {
-		name    string
-		abusive bool
-	}{{"users", false}, {"abusive accounts", true}} {
-		r := sim.Fig5And6(pop.abusive)
-		fmt.Printf("-- %s --\n", pop.name)
-		t := report.NewTable("family", "prefix", "pairs", "<=1d", "<=2d", "<=3d")
-		for _, fs := range r.FreshV4 {
-			t.Row("IPv4", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
-		}
-		for _, fs := range r.FreshV6 {
-			t.Row("IPv6", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
-		}
-		t.Write(os.Stdout)
+func runFig6(st *userv6.Study) func() {
+	users, aas := st.Fig5And6(false), st.Fig5And6(true)
+	return func() {
+		freshTable("users", users())
+		freshTable("abusive accounts", aas())
 	}
 }
 
-func runFig7(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func freshTable(pop string, r userv6.LifespanResult) {
+	fmt.Printf("-- %s --\n", pop)
+	t := report.NewTable("family", "prefix", "pairs", "<=1d", "<=2d", "<=3d")
+	for _, fs := range r.FreshV4 {
+		t.Row("IPv4", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
+	}
+	for _, fs := range r.FreshV6 {
+		t.Row("IPv6", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
+	}
+	t.Write(os.Stdout)
+}
+
+func runFig7(r userv6.IPCentricResult) {
 	t := report.NewTable("window", "family", "addresses", "P(=1 user)", "P(<=2)", "max users")
 	day4, day6 := r.DayV4.UsersPerPrefix(), r.DayV6.UsersPerPrefix()
 	week4, week6 := r.V4.UsersPerPrefix(), r.V6[128].UsersPerPrefix()
@@ -236,8 +271,7 @@ func runFig7(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig8(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func runFig8(r userv6.IPCentricResult) {
 	t := report.NewTable("family", "AA addrs", "P(1 AA)", "P(0 benign)", "P(<=1 benign)", "P(>10 benign)")
 	aa4, aa6 := r.V4.AbusivePerAbusivePrefix(), r.V6[128].AbusivePerAbusivePrefix()
 	b4, b6 := r.V4.BenignPerAbusivePrefix(), r.V6[128].BenignPerAbusivePrefix()
@@ -246,8 +280,7 @@ func runFig8(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig9(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func runFig9(r userv6.IPCentricResult) {
 	t := report.NewTable("prefix", "prefixes", "P(=1 user)", "P(<=2)", "median", "max")
 	lengths := append([]int(nil), userv6.Fig9Lengths...)
 	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
@@ -260,8 +293,7 @@ func runFig9(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig10(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func runFig10(r userv6.IPCentricResult) {
 	t := report.NewTable("prefix", "AA prefixes", "P(1 AA)", "P(<=1 benign)", "P(>10 benign)")
 	for _, l := range []int{128, 64, 56, 48} {
 		aa := r.V6[l].AbusivePerAbusivePrefix()
@@ -273,8 +305,7 @@ func runFig10(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig11(sim *userv6.Sim) {
-	r := sim.Fig11()
+func runFig11(r userv6.Fig11Result) {
 	t := report.NewTable("granularity", "threshold", "TPR", "FPR")
 	for _, g := range userv6.Fig11Granularities() {
 		roc := r.Curves[g.Name]
@@ -297,35 +328,45 @@ func runFig11(sim *userv6.Sim) {
 	}
 }
 
-func runOutliers(sim *userv6.Sim) {
-	r := sim.Outliers()
-	report.NewTable("metric", "IPv4", "IPv6").
-		Row(fmt.Sprintf("users with >%d addrs", r.HeavyUserThreshold), r.V4HeavyUsers, r.V6HeavyUsers).
-		Row("max addrs per user", r.V4MaxAddrs, r.V6MaxAddrs).
-		Row(fmt.Sprintf("addrs with >%d users", r.HeavyAddrThreshold), r.V4HeavyAddrs, r.V6HeavyAddrs).
-		Row("max users per addr", r.V4MaxUsers, r.V6MaxUsers).
-		Row("max users per /64", "-", r.V6Max64Users).
-		Write(os.Stdout)
-	c := r.V6Concentration
-	fmt.Printf("\nheavy IPv6 addresses: %d, top ASN %d (%s, %s of heavy), %s structured IIDs, %d ASNs total\n",
-		c.Heavy, c.TopASN, sim.World.ASNName(c.TopASN), report.Percent(c.TopASNShare),
-		report.Percent(c.StructuredShare), c.ASNs)
+func runOutliers(st *userv6.Study) func() {
+	outliers := st.Outliers()
+	return func() {
+		r := outliers()
+		report.NewTable("metric", "IPv4", "IPv6").
+			Row(fmt.Sprintf("users with >%d addrs", r.HeavyUserThreshold), r.V4HeavyUsers, r.V6HeavyUsers).
+			Row("max addrs per user", r.V4MaxAddrs, r.V6MaxAddrs).
+			Row(fmt.Sprintf("addrs with >%d users", r.HeavyAddrThreshold), r.V4HeavyAddrs, r.V6HeavyAddrs).
+			Row("max users per addr", r.V4MaxUsers, r.V6MaxUsers).
+			Row("max users per /64", "-", r.V6Max64Users).
+			Write(os.Stdout)
+		c := r.V6Concentration
+		fmt.Printf("\nheavy IPv6 addresses: %d, top ASN %d (%s, %s of heavy), %s structured IIDs, %d ASNs total\n",
+			c.Heavy, c.TopASN, st.Sim().World.ASNName(c.TopASN), report.Percent(c.TopASNShare),
+			report.Percent(c.StructuredShare), c.ASNs)
+	}
 }
 
-func runAdvise(sim *userv6.Sim) {
-	for _, tol := range []float64{0.0001, 0.001, 0.01} {
-		a := sim.Advise(tol)
-		fmt.Printf("-- FPR tolerance %s --\n", report.Percent(tol))
-		report.NewTable("recommendation", "value").
-			Row("blocklist granularity", fmt.Sprintf("/%d", a.BlocklistGranularity)).
-			Row("blocklist TPR at tolerance", report.Percent(a.BlocklistTPR)).
-			Row("blocklist TTL (days)", a.BlocklistTTLDays).
-			Row("rate-limit users per v6 addr", a.RateLimitUsersPerV6Addr).
-			Row("rate-limit v4-equivalent length", fmt.Sprintf("/%d", a.RateLimitV4EquivalentLength)).
-			Row("blocklist v4-equivalent length", fmt.Sprintf("/%d", a.BlocklistV4EquivalentLength)).
-			Row("v6 beats v4 at low FPR", a.V6BeatsV4BelowFPR).
-			Row("threat-intel 1-day decay", report.Percent(a.ThreatIntelDecay)).
-			Write(os.Stdout)
-		fmt.Println()
+func runAdvise(st *userv6.Study) func() {
+	tols := []float64{0.0001, 0.001, 0.01}
+	advice := make([]func() core.Advice, len(tols))
+	for i, tol := range tols {
+		advice[i] = st.Advise(tol)
+	}
+	return func() {
+		for i, tol := range tols {
+			a := advice[i]()
+			fmt.Printf("-- FPR tolerance %s --\n", report.Percent(tol))
+			report.NewTable("recommendation", "value").
+				Row("blocklist granularity", fmt.Sprintf("/%d", a.BlocklistGranularity)).
+				Row("blocklist TPR at tolerance", report.Percent(a.BlocklistTPR)).
+				Row("blocklist TTL (days)", a.BlocklistTTLDays).
+				Row("rate-limit users per v6 addr", a.RateLimitUsersPerV6Addr).
+				Row("rate-limit v4-equivalent length", fmt.Sprintf("/%d", a.RateLimitV4EquivalentLength)).
+				Row("blocklist v4-equivalent length", fmt.Sprintf("/%d", a.BlocklistV4EquivalentLength)).
+				Row("v6 beats v4 at low FPR", a.V6BeatsV4BelowFPR).
+				Row("threat-intel 1-day decay", report.Percent(a.ThreatIntelDecay)).
+				Write(os.Stdout)
+			fmt.Println()
+		}
 	}
 }

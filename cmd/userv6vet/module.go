@@ -190,6 +190,7 @@ func check(m *Module, imp types.Importer, path, dir string, files []*ast.File, t
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	var errs []error
 	conf := types.Config{

@@ -13,6 +13,11 @@ package main
 // Test files may register throwaway doubles with inline folds (half
 // the fan-out tests do), so only non-test registrations are held to
 // the Merge requirement.
+//
+// A generic helper that passes one of its type parameters on as the
+// registered type (a forwarder) hides the concrete type from that
+// call, so the rule checks each call of the forwarder instead, against
+// the type the call instantiates the parameter with.
 
 import (
 	"go/ast"
@@ -31,22 +36,62 @@ var commutativeAdders = map[string]bool{
 func (r *commutativeRule) Check(pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	info := pass.Pkg.Info
+	forwarders := forwarders(pass)
 	for _, f := range pass.Pkg.Files {
 		if pass.FileIsTest(f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if t, ok := registeredArgType(info, call); ok {
-					if msg := mergeContractError(t); msg != "" {
-						diags = append(diags, pass.Diag(r.Name(), call.Pos(), "%s", msg))
-					}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			// A forwarder's own registration sees only its type
+			// parameter, which mergeContractError passes.
+			t, ok := registeredArgType(info, call)
+			if i, fwd := forwarders[calledFunc(info, call)]; fwd {
+				if args := info.Instances[calledIdent(call)].TypeArgs; args != nil && i < args.Len() {
+					t, ok = args.At(i), true
+				}
+			}
+			if ok {
+				if msg := mergeContractError(t); msg != "" {
+					diags = append(diags, pass.Diag(r.Name(), call.Pos(), "%s", msg))
 				}
 			}
 			return true
 		})
 	}
 	return diags
+}
+
+// forwarders maps each generic function of the package whose body
+// registers one of its own type parameters to that parameter's index.
+func forwarders(pass *Pass) map[*types.Func]int {
+	fwd := make(map[*types.Func]int)
+	for _, f := range pass.Pkg.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Type.TypeParams == nil {
+				continue
+			}
+			fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
+			if fn == nil {
+				continue
+			}
+			own := fn.Type().(*types.Signature).TypeParams()
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					t, _ := registeredArgType(pass.Pkg.Info, call)
+					if tp, ok := t.(*types.TypeParam); ok && tp.Index() < own.Len() && own.At(tp.Index()) == tp {
+						fwd[fn] = tp.Index()
+					}
+				}
+				return true
+			})
+		}
+	}
+	return fwd
 }
 
 // registeredArgType returns the static type of the primary analyzer

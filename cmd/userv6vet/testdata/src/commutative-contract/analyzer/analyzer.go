@@ -37,3 +37,17 @@ func Wire(s *Set) {
 	AddCommutativeAnalyzer(s, &Mismatched{}, func() *Mismatched { return &Mismatched{} }, func(a, b *Mismatched) {})                             // want `commutative-contract: Mismatched is registered with AddCommutativeAnalyzer but its Merge does not take exactly one \*example\.com/commutative-contract/analyzer\.Mismatched`
 	AddCommutativeAnalyzerFiltered(s, ValueReg{}, func() ValueReg { return ValueReg{} }, func(a, b ValueReg) {}, func(int) bool { return true }) // want `commutative-contract: ValueReg is registered with AddCommutativeAnalyzer by value but Merge has a pointer receiver`
 }
+
+// register forwards its type parameter to the registration, so each of
+// its calls is checked against the type it instantiates T with.
+func register[T any](s *Set, mk func() T, fold func(into, from T)) T {
+	a := mk()
+	AddCommutativeAnalyzer(s, a, mk, fold)
+	return a
+}
+
+func WireForwarded(s *Set) {
+	_ = register(s, func() *Good { return &Good{} }, (*Good).Merge)
+	_ = register(s, func() *Bad { return &Bad{} }, func(into, from *Bad) {})                             // want `commutative-contract: Bad is registered with AddCommutativeAnalyzer but implements no Merge`
+	_ = register[*Mismatched](s, func() *Mismatched { return &Mismatched{} }, func(a, b *Mismatched) {}) // want `commutative-contract: Mismatched is registered with AddCommutativeAnalyzer but its Merge does not take exactly one`
+}

@@ -232,22 +232,29 @@ func runRules(m *Module, rules []Rule) []Diagnostic {
 // Returns nil for calls through function-typed variables, conversions,
 // and builtins.
 func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	case *ast.IndexExpr:
-		id = instIdent(fn.X)
-	case *ast.IndexListExpr:
-		id = instIdent(fn.X)
-	}
+	id := calledIdent(call)
 	if id == nil {
 		return nil
 	}
 	f, _ := info.Uses[id].(*types.Func)
 	return f
+}
+
+// calledIdent returns the identifier naming the function call invokes,
+// or nil when the callee is not a (possibly qualified or instantiated)
+// name.
+func calledIdent(call *ast.CallExpr) *ast.Ident {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fn
+	case *ast.SelectorExpr:
+		return fn.Sel
+	case *ast.IndexExpr:
+		return instIdent(fn.X)
+	case *ast.IndexListExpr:
+		return instIdent(fn.X)
+	}
+	return nil
 }
 
 func instIdent(x ast.Expr) *ast.Ident {

@@ -1,12 +1,13 @@
 package userv6
 
 import (
+	"fmt"
+
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
 	"userv6/internal/simtime"
 	"userv6/internal/stats"
-	"userv6/internal/telemetry"
 )
 
 // Fig4Lengths are the prefix lengths swept by Figure 4.
@@ -15,13 +16,11 @@ var Fig4Lengths = []int{32, 36, 40, 44, 48, 52, 56, 60, 64, 68, 72, 80, 96, 112,
 // Fig9Lengths are the prefix lengths compared in Figure 9 (plus IPv4).
 var Fig9Lengths = []int{128, 96, 72, 68, 64, 56, 48, 44}
 
-// Fig1 computes the daily IPv6 prevalence series for [from, to]
+// Fig1 registers the daily IPv6 prevalence series for [from, to]
 // (Figure 1). Only benign traffic counts, as in the paper's user and
 // request random samples.
-func (s *Sim) Fig1(from, to simtime.Day) []core.DayShare {
-	prev := core.NewPrevalence()
-	s.Benign.Generate(from, to, prev.Observe)
-	return prev.Daily()
+func (st *Study) Fig1(from, to simtime.Day) func() []core.DayShare {
+	return st.prevalence(from, to).Daily
 }
 
 // Table1Result is the ASN prevalence table plus the §4.2 bands.
@@ -33,30 +32,29 @@ type Table1Result struct {
 	MinUsersThreshold int
 }
 
-// Table1 ranks ASNs by IPv6 user ratio over [from, to] (Table 1).
-func (s *Sim) Table1(from, to simtime.Day) Table1Result {
-	prev := core.NewPrevalence()
-	s.Benign.Generate(from, to, prev.Observe)
-	min := s.Scenario.Users / 150
-	if min < 20 {
-		min = 20
-	}
-	zero, under, total := prev.ASNShareBands(min)
-	rows := prev.TopASNs(min, 10, s.World.ASNName)
-	// Attribute each ASN to its operator's country.
-	countryOf := make(map[netmodel.ASN]string, len(s.World.Networks()))
-	for _, n := range s.World.Networks() {
-		countryOf[n.ASN] = n.Country
-	}
-	for i := range rows {
-		rows[i].Country = countryOf[rows[i].ASN]
-	}
-	return Table1Result{
-		Rows:              rows,
-		ZeroShare:         zero,
-		UnderTenShare:     under,
-		QualifyingASNs:    total,
-		MinUsersThreshold: min,
+// Table1 registers the ranking of ASNs by IPv6 user ratio over
+// [from, to] (Table 1).
+func (st *Study) Table1(from, to simtime.Day) func() Table1Result {
+	prev, s := st.prevalence(from, to), st.sim
+	return func() Table1Result {
+		minUsers := max(s.Scenario.Users/150, 20)
+		zero, under, total := prev.ASNShareBands(minUsers)
+		rows := prev.TopASNs(minUsers, 10, s.World.ASNName)
+		// Attribute each ASN to its operator's country.
+		countryOf := make(map[netmodel.ASN]string, len(s.World.Networks()))
+		for _, n := range s.World.Networks() {
+			countryOf[n.ASN] = n.Country
+		}
+		for i := range rows {
+			rows[i].Country = countryOf[rows[i].ASN]
+		}
+		return Table1Result{
+			Rows:              rows,
+			ZeroShare:         zero,
+			UnderTenShare:     under,
+			QualifyingASNs:    total,
+			MinUsersThreshold: minUsers,
+		}
 	}
 }
 
@@ -68,46 +66,36 @@ type Table2Result struct {
 	GreeceJan, GreeceApr   float64
 }
 
-// Table2 computes country IPv6 user ratios for the Jan 23-29 and
+// Table2 registers the country IPv6 user ratios for the Jan 23-29 and
 // Apr 13-19 weeks (Table 2 / Figure 12).
-func (s *Sim) Table2() Table2Result {
-	min := s.Scenario.Users / 1000
-	if min < 10 {
-		min = 10
+func (st *Study) Table2() func() Table2Result {
+	jan := st.prevalence(simtime.JanWeekStart, simtime.JanWeekEnd)
+	apr := st.prevalence(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd)
+	return func() Table2Result {
+		minUsers := max(st.sim.Scenario.Users/1000, 10)
+		var r Table2Result
+		r.January = jan.TopCountries(minUsers, 10)
+		r.April = apr.TopCountries(minUsers, 10)
+		r.GermanyJan, _ = jan.CountryRatio("DE")
+		r.GermanyApr, _ = apr.CountryRatio("DE")
+		r.GreeceJan, _ = jan.CountryRatio("GR")
+		r.GreeceApr, _ = apr.CountryRatio("GR")
+		return r
 	}
-	jan := core.NewPrevalence()
-	s.Benign.Generate(simtime.JanWeekStart, simtime.JanWeekEnd, jan.Observe)
-	apr := core.NewPrevalence()
-	s.Benign.Generate(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd, apr.Observe)
-	var r Table2Result
-	r.January = jan.TopCountries(min, 10)
-	r.April = apr.TopCountries(min, 10)
-	r.GermanyJan, _ = jan.CountryRatio("DE")
-	r.GermanyApr, _ = apr.CountryRatio("DE")
-	r.GreeceJan, _ = jan.CountryRatio("GR")
-	r.GreeceApr, _ = apr.CountryRatio("GR")
-	return r
 }
 
-// CountryRatios returns every qualifying country's IPv6 user ratio over
-// the analysis week, descending — the data behind the Figure 12
+// CountryRatios registers every qualifying country's IPv6 user ratio
+// over the analysis week, descending — the data behind the Figure 12
 // choropleth.
-func (s *Sim) CountryRatios() []core.RatioRow {
-	min := s.Scenario.Users / 1000
-	if min < 10 {
-		min = 10
-	}
-	prev := core.NewPrevalence()
-	s.Benign.Generate(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd, prev.Observe)
-	return prev.TopCountries(min, 0)
+func (st *Study) CountryRatios() func() []core.RatioRow {
+	prev := st.prevalence(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd)
+	return func() []core.RatioRow { return prev.TopCountries(max(st.sim.Scenario.Users/1000, 10), 0) }
 }
 
-// ClientAddrPatterns computes the §4.4 transition-protocol and IID
+// ClientAddrPatterns registers the §4.4 transition-protocol and IID
 // structure summary over the analysis week.
-func (s *Sim) ClientAddrPatterns() core.ClientAddrPatterns {
-	uc := core.NewUserCentric()
-	s.Benign.Generate(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd, uc.Observe)
-	return uc.AddrPatterns()
+func (st *Study) ClientAddrPatterns() func() core.ClientAddrPatterns {
+	return st.userCentric(benignPop, simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd).AddrPatterns
 }
 
 // AddrsPerUserResult holds Figure 2/3 histograms: distinct addresses per
@@ -117,38 +105,25 @@ type AddrsPerUserResult struct {
 	Entities                     int
 }
 
-// Fig2 computes benign addresses-per-user CDF inputs (Figure 2) over the
-// analysis week, with the single-day cut on the week's last day.
-func (s *Sim) Fig2() AddrsPerUserResult {
-	return s.addrsPerEntity(false)
-}
+// Fig2 registers the benign addresses-per-user CDF inputs (Figure 2)
+// over the analysis week, with the single-day cut on the week's last
+// day.
+func (st *Study) Fig2() func() AddrsPerUserResult { return st.addrsPerEntity(benignPop) }
 
-// Fig3 computes the abusive-account equivalent (Figure 3).
-func (s *Sim) Fig3() AddrsPerUserResult {
-	return s.addrsPerEntity(true)
-}
+// Fig3 registers the abusive-account equivalent (Figure 3).
+func (st *Study) Fig3() func() AddrsPerUserResult { return st.addrsPerEntity(abusivePop) }
 
-func (s *Sim) addrsPerEntity(abusive bool) AddrsPerUserResult {
+func (st *Study) addrsPerEntity(pop cohort) func() AddrsPerUserResult {
 	from, to := AnalysisWeek()
-	week := core.NewUserCentricFor(abusive)
-	day := core.NewUserCentricFor(abusive)
-	feed := func(o telemetry.Observation) {
-		week.Observe(o)
-		if o.Day == to {
-			day.Observe(o)
+	week, day := st.userCentric(pop, from, to), st.userCentric(pop, to, to)
+	return func() AddrsPerUserResult {
+		return AddrsPerUserResult{
+			DayV4:    day.AddrsPerUser(netaddr.IPv4),
+			DayV6:    day.AddrsPerUser(netaddr.IPv6),
+			WeekV4:   week.AddrsPerUser(netaddr.IPv4),
+			WeekV6:   week.AddrsPerUser(netaddr.IPv6),
+			Entities: week.Users(),
 		}
-	}
-	if abusive {
-		s.Abusive.Generate(from, to, feed)
-	} else {
-		s.Benign.Generate(from, to, feed)
-	}
-	return AddrsPerUserResult{
-		DayV4:    day.AddrsPerUser(netaddr.IPv4),
-		DayV6:    day.AddrsPerUser(netaddr.IPv6),
-		WeekV4:   week.AddrsPerUser(netaddr.IPv4),
-		WeekV6:   week.AddrsPerUser(netaddr.IPv6),
-		Entities: week.Users(),
 	}
 }
 
@@ -158,17 +133,16 @@ type Fig4Result struct {
 	Users, Abusive []core.SpanShare
 }
 
-// Fig4 computes the share of entities whose IPv6 addresses span 1/2/3
+// Fig4 registers the share of entities whose IPv6 addresses span 1/2/3
 // prefixes at each length over the analysis week (Figure 4).
-func (s *Sim) Fig4() Fig4Result {
+func (st *Study) Fig4() func() Fig4Result {
 	from, to := AnalysisWeek()
-	users := core.NewUserCentricFor(false)
-	aas := core.NewUserCentricFor(true)
-	s.Benign.Generate(from, to, users.Observe)
-	s.Abusive.Generate(from, to, aas.Observe)
-	return Fig4Result{
-		Users:   users.PrefixSpans(Fig4Lengths),
-		Abusive: aas.PrefixSpans(Fig4Lengths),
+	users, aas := st.userCentric(benignPop, from, to), st.userCentric(abusivePop, from, to)
+	return func() Fig4Result {
+		return Fig4Result{
+			Users:   users.PrefixSpans(Fig4Lengths),
+			Abusive: aas.PrefixSpans(Fig4Lengths),
+		}
 	}
 }
 
@@ -185,28 +159,24 @@ type LifespanResult struct {
 // LifespanLengths are the prefix lengths Figure 6 sweeps.
 var LifespanLengths = []int{8, 16, 24, 32, 48, 64, 80, 96, 112, 128}
 
-// Fig5And6 computes address and prefix lifespans over a 28-day lookback
-// ending on the analysis week's last day, for benign users
+// Fig5And6 registers address and prefix lifespans over a 28-day
+// lookback ending on the analysis week's last day, for benign users
 // (abusive=false) or abusive accounts (abusive=true).
-func (s *Sim) Fig5And6(abusive bool) LifespanResult {
-	_, ref := AnalysisWeek()
-	ls := core.NewLifespans(ref, LifespanLengths...).Restrict(abusive)
-	from := ref - 27
-	if from < 0 {
-		from = 0
-	}
+func (st *Study) Fig5And6(abusive bool) func() LifespanResult {
+	pop := benignPop
 	if abusive {
-		s.Abusive.Generate(from, ref, ls.Observe)
-	} else {
-		s.Benign.Generate(from, ref, ls.Observe)
+		pop = abusivePop
 	}
-	return LifespanResult{
-		AgeV4:    ls.AgeHist(netaddr.IPv4, 32),
-		AgeV6:    ls.AgeHist(netaddr.IPv6, 128),
-		MedianV4: ls.MedianAgePerUser(netaddr.IPv4, 32),
-		MedianV6: ls.MedianAgePerUser(netaddr.IPv6, 128),
-		FreshV4:  ls.FreshShares(netaddr.IPv4),
-		FreshV6:  ls.FreshShares(netaddr.IPv6),
+	ls := st.lifespans(pop, simtime.AnalysisWeekEnd, 28, LifespanLengths...)
+	return func() LifespanResult {
+		return LifespanResult{
+			AgeV4:    ls.AgeHist(netaddr.IPv4, 32),
+			AgeV6:    ls.AgeHist(netaddr.IPv6, 128),
+			MedianV4: ls.MedianAgePerUser(netaddr.IPv4, 32),
+			MedianV6: ls.MedianAgePerUser(netaddr.IPv6, 128),
+			FreshV4:  ls.FreshShares(netaddr.IPv4),
+			FreshV6:  ls.FreshShares(netaddr.IPv6),
+		}
 	}
 }
 
@@ -220,31 +190,25 @@ type IPCentricResult struct {
 	DayV4, DayV6 *core.IPCentric
 }
 
-// IPCentricWeek runs the IP-centric analyzers over the analysis week at
-// the Figure 9 lengths, feeding both benign and abusive telemetry.
-func (s *Sim) IPCentricWeek() IPCentricResult {
+// IPCentricWeek registers the IP-centric analyzers over the analysis
+// week at the Figure 9 lengths, reading both benign and abusive
+// telemetry.
+func (st *Study) IPCentricWeek() func() IPCentricResult {
 	from, to := AnalysisWeek()
+	ipc := func(fam netaddr.Family, length int, from, to simtime.Day) *core.IPCentric {
+		mk := func() *core.IPCentric { return core.NewIPCentric(fam, length) }
+		return register(st, fmt.Sprint("ipcentric", fam, length), bothPops, from, to, mk, (*core.IPCentric).Merge)
+	}
 	r := IPCentricResult{
-		V4:    core.NewIPCentric(netaddr.IPv4, 32),
+		V4:    ipc(netaddr.IPv4, 32, from, to),
 		V6:    make(map[int]*core.IPCentric, len(Fig9Lengths)),
-		DayV4: core.NewIPCentric(netaddr.IPv4, 32),
-		DayV6: core.NewIPCentric(netaddr.IPv6, 128),
+		DayV4: ipc(netaddr.IPv4, 32, from, from),
+		DayV6: ipc(netaddr.IPv6, 128, from, from),
 	}
 	for _, l := range Fig9Lengths {
-		r.V6[l] = core.NewIPCentric(netaddr.IPv6, l)
+		r.V6[l] = ipc(netaddr.IPv6, l, from, to)
 	}
-	feed := func(o telemetry.Observation) {
-		r.V4.Observe(o)
-		for _, ic := range r.V6 {
-			ic.Observe(o)
-		}
-		if o.Day == from {
-			r.DayV4.Observe(o)
-			r.DayV6.Observe(o)
-		}
-	}
-	s.Generate(from, to, feed)
-	return r
+	return func() IPCentricResult { return r }
 }
 
 // OutlierResult summarizes RQ3: extreme users and extreme prefixes.
@@ -262,45 +226,42 @@ type OutlierResult struct {
 	V6Concentration core.HeavyConcentration
 }
 
-// Outliers computes the §5.1.3/§6.1.3 outlier summary over the analysis
-// week. Thresholds scale with the population (the paper's absolute
-// counts come from a 0.1% sample of a billion-user platform).
-func (s *Sim) Outliers() OutlierResult {
+// Outliers registers the §5.1.3/§6.1.3 outlier summary over the
+// analysis week. Thresholds scale with the population (the paper's
+// absolute counts come from a 0.1% sample of a billion-user platform).
+func (st *Study) Outliers() func() OutlierResult {
 	from, to := AnalysisWeek()
-	uc := core.NewUserCentric()
-	s.Benign.Generate(from, to, uc.Observe)
-	ipc := s.IPCentricWeek()
-
-	userThresh := 30
-	addrThresh := s.Scenario.Users / 1500
-	if addrThresh < 20 {
-		addrThresh = 20
+	uc, week := st.userCentric(benignPop, from, to), st.IPCentricWeek()
+	return func() OutlierResult {
+		ipc := week()
+		userThresh := 30
+		addrThresh := max(st.sim.Scenario.Users/1500, 20)
+		r := OutlierResult{
+			HeavyUserThreshold: userThresh,
+			HeavyAddrThreshold: addrThresh,
+			V4HeavyUsers:       uc.UsersWithMoreThan(netaddr.IPv4, userThresh),
+			V6HeavyUsers:       uc.UsersWithMoreThan(netaddr.IPv6, userThresh),
+			V4HeavyAddrs:       ipc.V4.PrefixesWithMoreThan(addrThresh),
+			V6HeavyAddrs:       ipc.V6[128].PrefixesWithMoreThan(addrThresh),
+			V6Concentration:    ipc.V6[128].ConcentrationAbove(addrThresh, st.sim.World.ASNOf),
+		}
+		if tops := uc.TopUsersByAddrs(netaddr.IPv4, 1); len(tops) > 0 {
+			r.V4MaxAddrs = tops[0].Count
+		}
+		if tops := uc.TopUsersByAddrs(netaddr.IPv6, 1); len(tops) > 0 {
+			r.V6MaxAddrs = tops[0].Count
+		}
+		if tops := ipc.V4.TopPrefixes(1); len(tops) > 0 {
+			r.V4MaxUsers = tops[0].Users
+		}
+		if tops := ipc.V6[128].TopPrefixes(1); len(tops) > 0 {
+			r.V6MaxUsers = tops[0].Users
+		}
+		if tops := ipc.V6[64].TopPrefixes(1); len(tops) > 0 {
+			r.V6Max64Users = tops[0].Users
+		}
+		return r
 	}
-	r := OutlierResult{
-		HeavyUserThreshold: userThresh,
-		HeavyAddrThreshold: addrThresh,
-		V4HeavyUsers:       uc.UsersWithMoreThan(netaddr.IPv4, userThresh),
-		V6HeavyUsers:       uc.UsersWithMoreThan(netaddr.IPv6, userThresh),
-		V4HeavyAddrs:       ipc.V4.PrefixesWithMoreThan(addrThresh),
-		V6HeavyAddrs:       ipc.V6[128].PrefixesWithMoreThan(addrThresh),
-		V6Concentration:    ipc.V6[128].ConcentrationAbove(addrThresh, s.World.ASNOf),
-	}
-	if tops := uc.TopUsersByAddrs(netaddr.IPv4, 1); len(tops) > 0 {
-		r.V4MaxAddrs = tops[0].Count
-	}
-	if tops := uc.TopUsersByAddrs(netaddr.IPv6, 1); len(tops) > 0 {
-		r.V6MaxAddrs = tops[0].Count
-	}
-	if tops := ipc.V4.TopPrefixes(1); len(tops) > 0 {
-		r.V4MaxUsers = tops[0].Users
-	}
-	if tops := ipc.V6[128].TopPrefixes(1); len(tops) > 0 {
-		r.V6MaxUsers = tops[0].Users
-	}
-	if tops := ipc.V6[64].TopPrefixes(1); len(tops) > 0 {
-		r.V6Max64Users = tops[0].Users
-	}
-	return r
 }
 
 // Fig11Granularity identifies one ROC curve of Figure 11.
@@ -327,61 +288,55 @@ type Fig11Result struct {
 	DayN, DayN1 simtime.Day
 }
 
-// Fig11 runs the §7.1 actioning simulation: day n = Apr 18, day n+1 =
-// Apr 19, sweeping DefaultThresholds at each granularity.
-func (s *Sim) Fig11() Fig11Result {
-	_, to := AnalysisWeek()
-	dayN, dayN1 := to-1, to
+// Fig11 registers the §7.1 actioning simulation: day n = Apr 18, day
+// n+1 = Apr 19, sweeping DefaultThresholds at each granularity.
+func (st *Study) Fig11() func() Fig11Result {
+	dayN := simtime.AnalysisWeekEnd - 1
 	acts := make([]*core.Actioning, 0, 4)
 	for _, g := range Fig11Granularities() {
-		acts = append(acts, core.NewActioning(g.Family, g.Length))
+		mk := func() *core.Actioning { return core.NewActioning(g.Family, g.Length, dayN) }
+		acts = append(acts, register(st, fmt.Sprint("actioning", g), bothPops, dayN, dayN+1, mk, (*core.Actioning).Merge))
 	}
-	s.GenerateDay(dayN, func(o telemetry.Observation) {
-		for _, a := range acts {
-			a.ObserveDayN(o)
+	return func() Fig11Result {
+		r := Fig11Result{Curves: make(map[string]*stats.ROC, 4), DayN: dayN, DayN1: dayN + 1}
+		for i, g := range Fig11Granularities() {
+			r.Curves[g.Name] = acts[i].Curve(core.DefaultThresholds())
 		}
-	})
-	s.GenerateDay(dayN1, func(o telemetry.Observation) {
-		for _, a := range acts {
-			a.ObserveDayN1(o)
-		}
-	})
-	r := Fig11Result{Curves: make(map[string]*stats.ROC, 4), DayN: dayN, DayN1: dayN1}
-	for i, g := range Fig11Granularities() {
-		r.Curves[g.Name] = acts[i].Curve(core.DefaultThresholds())
+		return r
 	}
-	return r
 }
 
-// Advise runs the full §7.2 policy advisor at the given FPR tolerance,
-// deriving every input from the simulation.
-func (s *Sim) Advise(fprTolerance float64) core.Advice {
-	roc := s.Fig11()
-	ipc := s.IPCentricWeek()
-	life := s.Fig5And6(false)
-
-	v6Users := make(map[int]*stats.IntHist, len(Fig9Lengths))
-	v6Abusive := make(map[int]*stats.IntHist, len(Fig9Lengths))
-	for l, ic := range ipc.V6 {
-		v6Users[l] = ic.UsersPerPrefix()
-		v6Abusive[l] = ic.AbusivePerAbusivePrefix()
+// Advise registers the full §7.2 policy advisor at the given FPR
+// tolerance, deriving every input from the Figure 5, 7-10 and 11
+// registrations.
+func (st *Study) Advise(fprTolerance float64) func() core.Advice {
+	fig11, week := st.Fig11(), st.IPCentricWeek()
+	ls := st.lifespans(benignPop, simtime.AnalysisWeekEnd, 28, LifespanLengths...) // Figure 5's
+	return func() core.Advice {
+		roc, ipc, ageV6 := fig11(), week(), ls.AgeHist(netaddr.IPv6, 128)
+		v6Users := make(map[int]*stats.IntHist, len(Fig9Lengths))
+		v6Abusive := make(map[int]*stats.IntHist, len(Fig9Lengths))
+		for l, ic := range ipc.V6 {
+			v6Users[l] = ic.UsersPerPrefix()
+			v6Abusive[l] = ic.AbusivePerAbusivePrefix()
+		}
+		freshV6 := 0.0
+		if ageV6.N() > 0 {
+			freshV6 = ageV6.CDFAt(0)
+		}
+		return core.Advise(core.AdvisorInputs{
+			ROC128:             roc.Curves["/128"],
+			ROC64:              roc.Curves["/64"],
+			ROCV4:              roc.Curves["IPv4"],
+			FPRTolerance:       fprTolerance,
+			UsersPerV6Addr:     ipc.V6[128].UsersPerPrefix(),
+			UsersPerV4Addr:     ipc.V4.UsersPerPrefix(),
+			UsersPerV6Prefix:   v6Users,
+			AbusivePerV6Prefix: v6Abusive,
+			AbusivePerV4Addr:   ipc.V4.AbusivePerAbusivePrefix(),
+			V6AddrFreshShare:   freshV6,
+		})
 	}
-	freshV6 := 0.0
-	if life.AgeV6.N() > 0 {
-		freshV6 = life.AgeV6.CDFAt(0)
-	}
-	return core.Advise(core.AdvisorInputs{
-		ROC128:             roc.Curves["/128"],
-		ROC64:              roc.Curves["/64"],
-		ROCV4:              roc.Curves["IPv4"],
-		FPRTolerance:       fprTolerance,
-		UsersPerV6Addr:     ipc.V6[128].UsersPerPrefix(),
-		UsersPerV4Addr:     ipc.V4.UsersPerPrefix(),
-		UsersPerV6Prefix:   v6Users,
-		AbusivePerV6Prefix: v6Abusive,
-		AbusivePerV4Addr:   ipc.V4.AbusivePerAbusivePrefix(),
-		V6AddrFreshShare:   freshV6,
-	})
 }
 
 // ASNOf exposes routing attribution for downstream tools.

@@ -5,6 +5,8 @@ package userv6
 // threshold sweeps, and per-network-type behavioral segmentation.
 
 import (
+	"fmt"
+
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
@@ -170,16 +172,12 @@ func (s *Sim) TTLRecallCurve(fam netaddr.Family, length int, horizon int) []floa
 	return out
 }
 
-// ChurnReasons attributes the analysis week's new (user, IPv6 address)
-// pairs to causes — IID rotation, subnet moves, network switches — after
-// a one-week warmup (the §8 "causes of dynamic IPv6 behavior" study).
-func (s *Sim) ChurnReasons() core.ChurnBreakdown {
+// ChurnReasons registers the attribution of the analysis week's new
+// (user, IPv6 address) pairs to causes — IID rotation, subnet moves,
+// network switches — after a one-week warmup (the §8 "causes of dynamic
+// IPv6 behavior" study).
+func (st *Study) ChurnReasons() func() core.ChurnBreakdown {
 	from, to := AnalysisWeek()
-	warmup := from - 7
-	if warmup < 0 {
-		warmup = 0
-	}
-	ca := core.NewChurnAttribution(from)
-	s.Benign.Generate(warmup, to, ca.Observe)
-	return ca.Breakdown()
+	mk := func() *core.ChurnAttribution { return core.NewChurnAttribution(from) }
+	return register(st, fmt.Sprint("churn", from), benignPop, from-7, to, mk, (*core.ChurnAttribution).Merge).Breakdown
 }

@@ -68,7 +68,7 @@ func TestAnalyzeFusedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ForEach(seq.set.Emit()); err != nil {
+	if err := r.ForEach(seq.set.Observe); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
@@ -97,7 +97,7 @@ func TestAnalyzeFusedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tseq := newAnalyzeSet()
-	srep, err := dataset.Salvage(bad, tseq.set.Emit())
+	srep, err := dataset.Salvage(bad, tseq.set.Observe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"maps"
 	"math"
 
 	"userv6/internal/netaddr"
+	"userv6/internal/simtime"
 	"userv6/internal/stats"
 	"userv6/internal/telemetry"
 )
@@ -13,134 +15,144 @@ import (
 // day n+1, measure which abusive accounts were caught (TPR) and which
 // benign users were hit (FPR).
 //
-// Feed day-n observations through ObserveDayN and day-n+1 observations
-// through ObserveDayN1, then call Curve with the thresholds to evaluate.
-// One instance evaluates one (family, prefix length) pair; Figure 11
-// runs four of them (/128, /64, /56, IPv4).
+// Observe keeps the distinct (entity, prefix) pairs of day n and of day
+// n+1 and ignores every other day. Both are set unions, so the state
+// does not depend on record order or on how the stream is split (Merge
+// unions them); Counts and Curve derive the ratios. One instance
+// evaluates one (family, prefix length) pair; Figure 11 runs four of
+// them (/128, /64, /56, IPv4).
 type Actioning struct {
 	Family netaddr.Family
 	Length int
+	// DayN is day n; day n+1 follows it.
+	DayN simtime.Day
 
-	seenN map[pairKey]struct{}
-	dayN  map[netaddr.Prefix]*prefixPop
-	// Day n+1: per-entity best (max) day-n ratio across the prefixes
-	// the entity appears on; -1 means none of its prefixes existed on
-	// day n.
-	seenN1    map[pairKey]struct{}
-	benignN1  map[uint64]float64
-	abusiveN1 map[uint64]float64
+	seen [2]map[actionKey]struct{} // day n, day n+1
 }
 
-// NewActioning returns a simulator for one family and prefix length.
-func NewActioning(fam netaddr.Family, length int) *Actioning {
-	return &Actioning{
-		Family:    fam,
-		Length:    length,
-		seenN:     make(map[pairKey]struct{}),
-		dayN:      make(map[netaddr.Prefix]*prefixPop),
-		seenN1:    make(map[pairKey]struct{}),
-		benignN1:  make(map[uint64]float64),
-		abusiveN1: make(map[uint64]float64),
-	}
+// actionKey is one (entity, prefix) pair; an entity is a user ID on one
+// side of the benign/abusive split.
+type actionKey struct {
+	pairKey
+	abusive bool
 }
 
-// ObserveDayN feeds a day-n observation (building per-prefix abusive
-// ratios).
-func (ac *Actioning) ObserveDayN(o telemetry.Observation) {
-	if o.Addr.Family() != ac.Family || ac.Length > o.Addr.Bits() {
-		return
-	}
-	p := netaddr.PrefixFrom(o.Addr, ac.Length)
-	key := pairKey{uid: o.UserID, pfx: p}
-	if _, dup := ac.seenN[key]; dup {
-		return
-	}
-	ac.seenN[key] = struct{}{}
-	pop := ac.dayN[p]
-	if pop == nil {
-		pop = &prefixPop{}
-		ac.dayN[p] = pop
-	}
-	if o.Abusive {
-		pop.abusive++
-	} else {
-		pop.benign++
+// NewActioning returns a simulator for one family and prefix length,
+// evaluating day dayN against day dayN+1.
+func NewActioning(fam netaddr.Family, length int, dayN simtime.Day) *Actioning {
+	return &Actioning{Family: fam, Length: length, DayN: dayN, seen: [2]map[actionKey]struct{}{{}, {}}}
+}
+
+// Observe feeds one observation; only days n and n+1 count.
+func (ac *Actioning) Observe(o telemetry.Observation) {
+	if d := o.Day - ac.DayN; (d == 0 || d == 1) && o.Addr.Family() == ac.Family && ac.Length <= o.Addr.Bits() {
+		ac.seen[d][actionKey{pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, ac.Length)}, o.Abusive}] = struct{}{}
 	}
 }
 
-// ObserveDayN1 feeds a day-n+1 observation (recording, per entity, the
-// maximum day-n abusive ratio among the prefixes it appears on).
-func (ac *Actioning) ObserveDayN1(o telemetry.Observation) {
-	if o.Addr.Family() != ac.Family || ac.Length > o.Addr.Bits() {
-		return
+// Merge folds another simulator's pairs into ac. Both simulators must
+// share Family, Length and DayN.
+func (ac *Actioning) Merge(other *Actioning) {
+	for d := range ac.seen {
+		maps.Copy(ac.seen[d], other.seen[d])
 	}
-	p := netaddr.PrefixFrom(o.Addr, ac.Length)
-	key := pairKey{uid: o.UserID, pfx: p}
-	if _, dup := ac.seenN1[key]; dup {
-		return
-	}
-	ac.seenN1[key] = struct{}{}
+}
 
-	ratio := -1.0
-	if pop := ac.dayN[p]; pop != nil && pop.abusive > 0 {
-		ratio = float64(pop.abusive) / float64(pop.abusive+pop.benign)
-	} else if pop != nil {
-		ratio = 0
+// populations tallies day n's pairs into per-prefix populations.
+func (ac *Actioning) populations() map[netaddr.Prefix]*prefixPop {
+	pops := make(map[netaddr.Prefix]*prefixPop)
+	for k := range ac.seen[0] {
+		pop := pops[k.pfx]
+		if pop == nil {
+			pop = &prefixPop{}
+			pops[k.pfx] = pop
+		}
+		if k.abusive {
+			pop.abusive++
+		} else {
+			pop.benign++
+		}
 	}
-	m := ac.benignN1
-	if o.Abusive {
-		m = ac.abusiveN1
+	return pops
+}
+
+// bestRatios returns, per day-n+1 entity, the maximum day-n abusive
+// ratio among the prefixes it appears on: 0 for a prefix seen on day n
+// with no abusive account, -1 when none of its prefixes was seen on
+// day n.
+func (ac *Actioning) bestRatios() (benign, abusive map[uint64]float64) {
+	pops := ac.populations()
+	benign, abusive = make(map[uint64]float64), make(map[uint64]float64)
+	for k := range ac.seen[1] {
+		ratio := -1.0
+		if pop := pops[k.pfx]; pop != nil {
+			ratio = float64(pop.abusive) / float64(pop.abusive+pop.benign)
+		}
+		m := benign
+		if k.abusive {
+			m = abusive
+		}
+		if prev, ok := m[k.uid]; !ok || ratio > prev {
+			m[k.uid] = ratio
+		}
 	}
-	if prev, ok := m[o.UserID]; !ok || ratio > prev {
-		m[o.UserID] = ratio
-	}
+	return benign, abusive
 }
 
 // Counts returns the confusion counts at one actioning threshold: an
 // entity is actioned if any of its day-n+1 prefixes had a day-n abusive
 // ratio >= threshold (with at least one abusive account).
 func (ac *Actioning) Counts(threshold float64) stats.BinaryCounts {
-	var c stats.BinaryCounts
-	// A ratio of exactly 0 means the prefix was seen on day n with no
-	// abusive accounts: never actioned. Thresholds are clamped to a
-	// tiny positive floor so "threshold 0" means "any abusive presence".
-	t := threshold
-	if t <= 0 {
-		t = math.SmallestNonzeroFloat64
-	}
-	for _, r := range ac.abusiveN1 {
-		if r >= t {
-			c.TP++
-		} else {
-			c.FN++
+	return countsAt(ac.bestRatios())(threshold)
+}
+
+// countsAt returns Counts over precomputed best ratios.
+func countsAt(benign, abusive map[uint64]float64) func(threshold float64) stats.BinaryCounts {
+	return func(threshold float64) stats.BinaryCounts {
+		var c stats.BinaryCounts
+		// A ratio of exactly 0 means the prefix was seen on day n with no
+		// abusive accounts: never actioned. Thresholds are clamped to a
+		// tiny positive floor so "threshold 0" means "any abusive presence".
+		t := threshold
+		if t <= 0 {
+			t = math.SmallestNonzeroFloat64
 		}
-	}
-	for _, r := range ac.benignN1 {
-		if r >= t {
-			c.FP++
-		} else {
-			c.TN++
+		for _, r := range abusive {
+			if r >= t {
+				c.TP++
+			} else {
+				c.FN++
+			}
 		}
+		for _, r := range benign {
+			if r >= t {
+				c.FP++
+			} else {
+				c.TN++
+			}
+		}
+		return c
 	}
-	return c
 }
 
 // Curve evaluates the thresholds and returns the ROC curve.
 func (ac *Actioning) Curve(thresholds []float64) *stats.ROC {
+	counts := countsAt(ac.bestRatios())
 	pts := make([]stats.ROCPoint, 0, len(thresholds))
 	for _, t := range thresholds {
-		counts := ac.Counts(t)
-		pts = append(pts, stats.ROCPoint{Threshold: t, TPR: counts.TPR(), FPR: counts.FPR()})
+		c := counts(t)
+		pts = append(pts, stats.ROCPoint{Threshold: t, TPR: c.TPR(), FPR: c.FPR()})
 	}
 	return stats.NewROC(pts)
 }
 
 // DayNPrefixes returns how many prefixes were observed on day n.
-func (ac *Actioning) DayNPrefixes() int { return len(ac.dayN) }
+func (ac *Actioning) DayNPrefixes() int { return len(ac.populations()) }
 
 // DayN1Entities returns the day-n+1 population sizes (benign, abusive).
 func (ac *Actioning) DayN1Entities() (benign, abusive int) {
-	return len(ac.benignN1), len(ac.abusiveN1)
+	b, a := ac.bestRatios()
+	return len(b), len(a)
 }
 
 // DefaultThresholds returns the threshold sweep used for Figure 11:

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"userv6/internal/netaddr"
 	"userv6/internal/stats"
+	"userv6/internal/telemetry"
 )
 
 // buildActioning creates a small two-day scenario:
@@ -16,20 +19,20 @@ import (
 //	         a brand-new addr D; benign 1 on B, benign 2 on C, benign 3
 //	         on D.
 func buildActioning() *Actioning {
-	ac := NewActioning(netaddr.IPv4, 32)
-	ac.ObserveDayN(obs(100, "10.0.0.1", 0, true))
-	ac.ObserveDayN(obs(101, "10.0.0.2", 0, true))
+	ac := NewActioning(netaddr.IPv4, 32, 0)
+	ac.Observe(obs(100, "10.0.0.1", 0, true))
+	ac.Observe(obs(101, "10.0.0.2", 0, true))
 	for u := uint64(1); u <= 9; u++ {
-		ac.ObserveDayN(obs(u, "10.0.0.2", 0, false))
+		ac.Observe(obs(u, "10.0.0.2", 0, false))
 	}
-	ac.ObserveDayN(obs(10, "10.0.0.3", 0, false))
+	ac.Observe(obs(10, "10.0.0.3", 0, false))
 
-	ac.ObserveDayN1(obs(100, "10.0.0.1", 1, true))
-	ac.ObserveDayN1(obs(101, "10.0.0.2", 1, true))
-	ac.ObserveDayN1(obs(102, "10.0.0.4", 1, true))
-	ac.ObserveDayN1(obs(1, "10.0.0.2", 1, false))
-	ac.ObserveDayN1(obs(2, "10.0.0.3", 1, false))
-	ac.ObserveDayN1(obs(3, "10.0.0.4", 1, false))
+	ac.Observe(obs(100, "10.0.0.1", 1, true))
+	ac.Observe(obs(101, "10.0.0.2", 1, true))
+	ac.Observe(obs(102, "10.0.0.4", 1, true))
+	ac.Observe(obs(1, "10.0.0.2", 1, false))
+	ac.Observe(obs(2, "10.0.0.3", 1, false))
+	ac.Observe(obs(3, "10.0.0.4", 1, false))
 	return ac
 }
 
@@ -69,13 +72,13 @@ func TestActioningThresholds(t *testing.T) {
 }
 
 func TestActioningPrefixGranularity(t *testing.T) {
-	ac := NewActioning(netaddr.IPv6, 64)
+	ac := NewActioning(netaddr.IPv6, 64, 0)
 	// Day n: AA on one address of a /64.
-	ac.ObserveDayN(obs(100, "2001:db8:0:1::a", 0, true))
+	ac.Observe(obs(100, "2001:db8:0:1::a", 0, true))
 	// Day n+1: a different AA on a different address, same /64.
-	ac.ObserveDayN1(obs(101, "2001:db8:0:1::b", 1, true))
+	ac.Observe(obs(101, "2001:db8:0:1::b", 1, true))
 	// And one on another /64: missed.
-	ac.ObserveDayN1(obs(102, "2001:db8:0:2::c", 1, true))
+	ac.Observe(obs(102, "2001:db8:0:2::c", 1, true))
 	c := ac.Counts(0)
 	if c.TP != 1 || c.FN != 1 {
 		t.Fatalf("counts = %+v", c)
@@ -83,9 +86,9 @@ func TestActioningPrefixGranularity(t *testing.T) {
 }
 
 func TestActioningZeroRatioNotActioned(t *testing.T) {
-	ac := NewActioning(netaddr.IPv4, 32)
-	ac.ObserveDayN(obs(1, "10.0.0.1", 0, false)) // benign-only prefix
-	ac.ObserveDayN1(obs(2, "10.0.0.1", 1, false))
+	ac := NewActioning(netaddr.IPv4, 32, 0)
+	ac.Observe(obs(1, "10.0.0.1", 0, false)) // benign-only prefix
+	ac.Observe(obs(2, "10.0.0.1", 1, false))
 	c := ac.Counts(0)
 	if c.FP != 0 || c.TN != 1 {
 		t.Fatalf("benign-only prefix actioned: %+v", c)
@@ -111,14 +114,154 @@ func TestActioningCurve(t *testing.T) {
 }
 
 func TestActioningDedup(t *testing.T) {
-	ac := NewActioning(netaddr.IPv4, 32)
+	ac := NewActioning(netaddr.IPv4, 32, 0)
 	for i := 0; i < 5; i++ {
-		ac.ObserveDayN(obs(100, "10.0.0.1", 0, true))
-		ac.ObserveDayN1(obs(100, "10.0.0.1", 1, true))
+		ac.Observe(obs(100, "10.0.0.1", 0, true))
+		ac.Observe(obs(100, "10.0.0.1", 1, true))
 	}
 	c := ac.Counts(0)
 	if c.TP != 1 {
 		t.Fatalf("dedup failed: %+v", c)
+	}
+}
+
+// seqActioning is the two-phase walk Actioning replaced, kept as the
+// reference for its commutative form: every day-n record first, building
+// per-prefix populations, then every day-n+1 record, each scored against
+// the finished day-n populations as it arrives.
+type seqActioning struct {
+	fam       netaddr.Family
+	length    int
+	seenN     map[pairKey]struct{}
+	dayN      map[netaddr.Prefix]*prefixPop
+	seenN1    map[pairKey]struct{}
+	benignN1  map[uint64]float64
+	abusiveN1 map[uint64]float64
+}
+
+func newSeqActioning(fam netaddr.Family, length int) *seqActioning {
+	return &seqActioning{
+		fam: fam, length: length,
+		seenN:     make(map[pairKey]struct{}),
+		dayN:      make(map[netaddr.Prefix]*prefixPop),
+		seenN1:    make(map[pairKey]struct{}),
+		benignN1:  make(map[uint64]float64),
+		abusiveN1: make(map[uint64]float64),
+	}
+}
+
+func (ac *seqActioning) key(o telemetry.Observation) (pairKey, bool) {
+	if o.Addr.Family() != ac.fam || ac.length > o.Addr.Bits() {
+		return pairKey{}, false
+	}
+	return pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, ac.length)}, true
+}
+
+func (ac *seqActioning) observeDayN(o telemetry.Observation) {
+	key, ok := ac.key(o)
+	if _, dup := ac.seenN[key]; !ok || dup {
+		return
+	}
+	ac.seenN[key] = struct{}{}
+	pop := ac.dayN[key.pfx]
+	if pop == nil {
+		pop = &prefixPop{}
+		ac.dayN[key.pfx] = pop
+	}
+	if o.Abusive {
+		pop.abusive++
+	} else {
+		pop.benign++
+	}
+}
+
+func (ac *seqActioning) observeDayN1(o telemetry.Observation) {
+	key, ok := ac.key(o)
+	if _, dup := ac.seenN1[key]; !ok || dup {
+		return
+	}
+	ac.seenN1[key] = struct{}{}
+	ratio := -1.0
+	if pop := ac.dayN[key.pfx]; pop != nil && pop.abusive > 0 {
+		ratio = float64(pop.abusive) / float64(pop.abusive+pop.benign)
+	} else if pop != nil {
+		ratio = 0
+	}
+	m := ac.benignN1
+	if o.Abusive {
+		m = ac.abusiveN1
+	}
+	if prev, ok := m[o.UserID]; !ok || ratio > prev {
+		m[o.UserID] = ratio
+	}
+}
+
+type actioningResult struct {
+	Counts                    []stats.BinaryCounts
+	Prefixes, Benign, Abusive int
+}
+
+// TestActioningOrderAndMerge checks the commutative Actioning against
+// the two-phase walk at every DefaultThresholds value, for each Figure
+// 11 granularity, under user-major, shuffled, day-major and
+// two-users-alternating feeds, and that Merge obeys identity,
+// commutativity and associativity over random 3-way splits that are not
+// user-disjoint (the subject harness in userstate_prop_test.go).
+func TestActioningOrderAndMerge(t *testing.T) {
+	const dayN = 2
+	var mixed int
+	var caught, hit uint64
+	for _, seed := range []uint64{1, 2, 3} {
+		stream := userStateStream(seed, 60)
+		heavy := heaviestUsers(stream)
+		for _, g := range []struct {
+			fam    netaddr.Family
+			length int
+		}{{netaddr.IPv4, 32}, {netaddr.IPv6, 128}, {netaddr.IPv6, 64}, {netaddr.IPv6, 56}} {
+			ac := subject[*Actioning]{
+				name:  fmt.Sprintf("Actioning %s/%d", g.fam, g.length),
+				mk:    func() *Actioning { return NewActioning(g.fam, g.length, dayN) },
+				merge: (*Actioning).Merge,
+				result: func(ac *Actioning) any {
+					r := actioningResult{Prefixes: ac.DayNPrefixes()}
+					r.Benign, r.Abusive = ac.DayN1Entities()
+					for _, th := range DefaultThresholds() {
+						r.Counts = append(r.Counts, ac.Counts(th))
+					}
+					return r
+				},
+			}
+			got := ac.check(t, seed, stream, heavy).(actioningResult)
+
+			ref := newSeqActioning(g.fam, g.length)
+			for _, o := range stream {
+				if o.Day == dayN {
+					ref.observeDayN(o)
+				}
+			}
+			for _, o := range stream {
+				if o.Day == dayN+1 {
+					ref.observeDayN1(o)
+				}
+			}
+			want := actioningResult{Prefixes: len(ref.dayN), Benign: len(ref.benignN1), Abusive: len(ref.abusiveN1)}
+			for _, th := range DefaultThresholds() {
+				want.Counts = append(want.Counts, countsAt(ref.benignN1, ref.abusiveN1)(th))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: %+v, want the two-phase walk's %+v", ac.name, seed, got, want)
+			}
+			for _, pop := range ref.dayN {
+				if pop.abusive > 0 && pop.benign > 0 {
+					mixed++
+				}
+			}
+			caught += got.Counts[0].TP
+			hit += got.Counts[0].FP
+		}
+	}
+	if mixed == 0 || caught == 0 || hit == 0 {
+		t.Fatalf("vacuous stream: %d mixed day-n prefixes, %d abusive caught, %d benign hit at threshold 0", mixed, caught, hit)
 	}
 }
 

@@ -111,13 +111,10 @@ func (s *AnalyzerSet) Observe(o telemetry.Observation) {
 	}
 }
 
-// Emit adapts Observe to a telemetry.EmitFunc.
-func (s *AnalyzerSet) Emit() telemetry.EmitFunc { return s.Observe }
-
 // Replica is an independent copy of every registered analyzer, for
-// producers that already partition users (e.g. sharded generation over
-// disjoint user ranges): each partition feeds its own Replica with no
-// routing or locking, and Fold merges them back into the primaries.
+// producers that already partition the stream: each partition feeds its
+// own Replica with no routing or locking, and Fold merges them back
+// into the primaries.
 type Replica struct {
 	set *AnalyzerSet
 	obs []Observer
@@ -142,9 +139,6 @@ func (r *Replica) Observe(o telemetry.Observation) {
 		}
 	}
 }
-
-// Emit adapts Observe to a telemetry.EmitFunc.
-func (r *Replica) Emit() telemetry.EmitFunc { return r.Observe }
 
 // Fold merges the replicas' state into the set's primaries, in argument
 // order. The first replica is adopted by swap instead of copied (see

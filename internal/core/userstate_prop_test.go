@@ -22,7 +22,9 @@ import (
 // user in seven is abusive; user 0 is present, so a zero ID cannot pass
 // for "no user"; and one user in ten is heavy, with several times
 // scanLimit distinct IPv4 addresses, IPv6 addresses and /64s, so their
-// key lists are indexed.
+// key lists are indexed. Each record's ASN follows its address's
+// network bits, its request count its day, and its country its user, so
+// Prevalence has several ASNs and countries with mixed families to tally.
 func userStateStream(seed uint64, users int) []telemetry.Observation {
 	src := rng.New(seed)
 	const days = 5
@@ -39,10 +41,15 @@ func userStateStream(seed uint64, users int) []telemetry.Observation {
 		}
 		var mine []telemetry.Observation
 		sight := func(a netaddr.Addr) {
+			hi, lo := a.Words()
 			for k := 1 + src.Intn(3); k > 0; k-- {
-				mine = append(mine, telemetry.Observation{
+				o := telemetry.Observation{
 					Day: simtime.Day(src.Intn(days)), UserID: uid, Addr: a, Abusive: abusive,
-				})
+					ASN: netmodel.ASN(hi>>20&3 | lo>>2&3),
+				}
+				o.Requests = uint32(1 + o.Day)
+				o.SetCountry([]string{"DE", "GR", "US"}[u%3])
+				mine = append(mine, o)
 			}
 		}
 		for i := 0; i < n4; i++ {
@@ -224,11 +231,47 @@ func ipCentricResult(ic *IPCentric) any {
 	}
 }
 
+type prevResult struct {
+	Daily           []DayShare
+	ASNs, Countries []RatioRow
+	Zero, UnderTen  float64
+	Qualifying      int
+	DERatio         float64
+	DEUsers         int
+}
+
+func prevalenceResult(p *Prevalence) any {
+	r := prevResult{Daily: p.Daily(), ASNs: p.TopASNs(1, 0, nil), Countries: p.TopCountries(1, 0)}
+	r.Zero, r.UnderTen, r.Qualifying = p.ASNShareBands(1)
+	r.DERatio, r.DEUsers = p.CountryRatio("DE")
+	return r
+}
+
+type lifeResult struct {
+	Pairs            int
+	Age4, Age6, Med4 *stats.IntHist
+	Med64            *stats.IntHist
+	Fresh4, Fresh6   []FreshShare
+}
+
+func lifespansResult(l *Lifespans) any {
+	return lifeResult{
+		Pairs:  l.Pairs(),
+		Age4:   l.AgeHist(netaddr.IPv4, 32),
+		Age6:   l.AgeHist(netaddr.IPv6, 128),
+		Med4:   l.MedianAgePerUser(netaddr.IPv4, 32),
+		Med64:  l.MedianAgePerUser(netaddr.IPv6, 64),
+		Fresh4: l.FreshShares(netaddr.IPv4),
+		Fresh6: l.FreshShares(netaddr.IPv6),
+	}
+}
+
 // TestUserStateOrderAndMerge checks the analyzers that keep per-user
 // state — UserCentric, IPCentric at v4/32, v6/128 and v6/64, and
-// ChurnAttribution — against reference models, then checks that every
-// query answers the same for a user-contiguous, a shuffled, a day-major
-// and a two-users-alternating feed, and that Merge obeys identity,
+// ChurnAttribution — against reference models. For them and for
+// Prevalence and Lifespans it then checks that every query answers the
+// same for a user-contiguous, a shuffled, a day-major and a
+// two-users-alternating feed, and that Merge obeys identity,
 // commutativity and associativity over random splits that are not
 // user-disjoint. Heavy users carry more than twice scanLimit keys, so
 // lists are indexed both while observing and inside Merge.
@@ -270,6 +313,20 @@ func TestUserStateOrderAndMerge(t *testing.T) {
 			merge:  (*ChurnAttribution).Merge,
 			result: func(c *ChurnAttribution) any { return c.Breakdown() },
 		}
+		prev := subject[*Prevalence]{"Prevalence", NewPrevalence, (*Prevalence).Merge, prevalenceResult}
+		if got := prev.check(t, seed, stream, heavy).(prevResult); len(got.ASNs) < 2 || len(got.Countries) != 3 {
+			t.Fatalf("Prevalence seed %d: %d ASNs and %d countries, want several of each", seed, len(got.ASNs), len(got.Countries))
+		}
+		life := subject[*Lifespans]{
+			name:   "Lifespans",
+			mk:     func() *Lifespans { return NewLifespans(countFrom+1, 32, 44, 64, 128) },
+			merge:  (*Lifespans).Merge,
+			result: lifespansResult,
+		}
+		if got := life.check(t, seed, stream, heavy).(lifeResult); got.Age4.N() == 0 || got.Age6.N() == 0 {
+			t.Fatalf("Lifespans seed %d: no reference-day pairs", seed)
+		}
+
 		ref := newSeqChurn(countFrom)
 		for _, o := range stream {
 			ref.Observe(o)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,61 +11,8 @@ import (
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
-	"userv6/internal/stats"
 	"userv6/internal/telemetry"
 )
-
-// TestParallelMatchesSerial: sharded generation + merge must reproduce
-// the serial analysis exactly.
-func TestParallelMatchesSerial(t *testing.T) {
-	sim := NewSim(DefaultScenario(3_000))
-
-	serial := sim.Fig2()
-	parallel := sim.Fig2Parallel(4)
-
-	if serial.Entities != parallel.Entities {
-		t.Fatalf("entities: serial %d vs parallel %d", serial.Entities, parallel.Entities)
-	}
-	for v := 0; v <= 30; v++ {
-		if serial.WeekV6.CDFAt(v) != parallel.WeekV6.CDFAt(v) {
-			t.Fatalf("week v6 CDF differs at %d: %v vs %v",
-				v, serial.WeekV6.CDFAt(v), parallel.WeekV6.CDFAt(v))
-		}
-		if serial.WeekV4.CDFAt(v) != parallel.WeekV4.CDFAt(v) {
-			t.Fatalf("week v4 CDF differs at %d", v)
-		}
-		if serial.DayV6.CDFAt(v) != parallel.DayV6.CDFAt(v) {
-			t.Fatalf("day v6 CDF differs at %d", v)
-		}
-	}
-}
-
-func TestIPCentricParallelMatchesSerial(t *testing.T) {
-	sim := NewSim(DefaultScenario(3_000))
-	from, to := AnalysisWeek()
-
-	serial := core.NewIPCentric(netaddr.IPv6, 64)
-	sim.Generate(from, to, serial.Observe)
-
-	parallel := sim.IPCentricParallel(netaddr.IPv6, 64, 3)
-
-	if serial.Prefixes() != parallel.Prefixes() {
-		t.Fatalf("prefixes: %d vs %d", serial.Prefixes(), parallel.Prefixes())
-	}
-	sh, ph := serial.UsersPerPrefix(), parallel.UsersPerPrefix()
-	if sh.N() != ph.N() || sh.Max() != ph.Max() {
-		t.Fatalf("hist N/max differ: %d/%d vs %d/%d", sh.N(), sh.Max(), ph.N(), ph.Max())
-	}
-	for v := 0; v <= 20; v++ {
-		if sh.CDFAt(v) != ph.CDFAt(v) {
-			t.Fatalf("CDF differs at %d", v)
-		}
-	}
-	sa, pa := serial.AbusivePerAbusivePrefix(), parallel.AbusivePerAbusivePrefix()
-	if sa.N() != pa.N() {
-		t.Fatalf("abusive prefixes: %d vs %d", sa.N(), pa.N())
-	}
-}
 
 func TestGenerateParallelCoversAllUsers(t *testing.T) {
 	sim := NewSim(DefaultScenario(1_000))
@@ -75,14 +21,17 @@ func TestGenerateParallelCoversAllUsers(t *testing.T) {
 	sim.Benign.GenerateDay(84, func(telemetry.Observation) { serialCount++ })
 
 	var total atomic.Int64
-	sim.GenerateParallel(84, 84, 5, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(context.Background(), 84, 84, 5, func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
 		m := make(map[uint64]bool)
 		seen = append(seen, m)
 		return func(o telemetry.Observation) {
 			m[o.UserID] = true
 			total.Add(1)
-		}
+		}, nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if total.Load() != int64(serialCount) {
 		t.Fatalf("parallel emitted %d observations, serial %d", total.Load(), serialCount)
 	}
@@ -123,54 +72,6 @@ func TestUserCentricMerge(t *testing.T) {
 	}
 }
 
-// histFingerprint renders a histogram's full distribution to a string,
-// so two runs can be compared byte-for-byte.
-func histFingerprint(h *stats.IntHist) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "N=%d max=%d mean=%v;", h.N(), h.Max(), h.Mean())
-	for v := 0; uint64(v) <= h.Max(); v++ {
-		fmt.Fprintf(&sb, "%d:%v ", v, h.CDFAt(v))
-	}
-	return sb.String()
-}
-
-// Shard-count invariance: the same analysis with 1, 3, and GOMAXPROCS
-// shards must produce byte-identical results.
-func TestShardCountInvariance(t *testing.T) {
-	sim := NewSim(DefaultScenario(2_000))
-	shardCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
-
-	type fp struct{ dayV6, weekV4, weekV6 string }
-	var fig2 []fp
-	var entities []int
-	var ipc []string
-	for _, n := range shardCounts {
-		r := sim.Fig2Parallel(n)
-		fig2 = append(fig2, fp{
-			dayV6:  histFingerprint(r.DayV6),
-			weekV4: histFingerprint(r.WeekV4),
-			weekV6: histFingerprint(r.WeekV6),
-		})
-		entities = append(entities, r.Entities)
-		ic := sim.IPCentricParallel(netaddr.IPv6, 64, n)
-		ipc = append(ipc, fmt.Sprintf("p=%d;%s", ic.Prefixes(), histFingerprint(ic.UsersPerPrefix())))
-	}
-	for i := 1; i < len(shardCounts); i++ {
-		if entities[i] != entities[0] {
-			t.Fatalf("entities differ: shards=%d gives %d, shards=%d gives %d",
-				shardCounts[0], entities[0], shardCounts[i], entities[i])
-		}
-		if fig2[i] != fig2[0] {
-			t.Fatalf("Fig2Parallel differs between shards=%d and shards=%d",
-				shardCounts[0], shardCounts[i])
-		}
-		if ipc[i] != ipc[0] {
-			t.Fatalf("IPCentricParallel differs between shards=%d and shards=%d",
-				shardCounts[0], shardCounts[i])
-		}
-	}
-}
-
 // An injected consumer panic must surface as a *ShardPanicError naming
 // the shard's user range — not crash the process — and the sibling
 // shards must be cancelled rather than run to completion.
@@ -180,13 +81,13 @@ func TestGenerateParallelCtxPanicIsolated(t *testing.T) {
 
 	const panicUser = 777
 	var shardIdx atomic.Int32
-	err := sim.GenerateParallelCtx(context.Background(), from, to, 4, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(context.Background(), from, to, 4, func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
 		shardIdx.Add(1)
 		return func(o telemetry.Observation) {
 			if o.UserID == panicUser {
 				panic("injected consumer fault")
 			}
-		}
+		}, nil
 	})
 	if err == nil {
 		t.Fatal("injected panic did not surface as an error")
@@ -220,7 +121,7 @@ func TestGenerateParallelCtxSiblingsCancelled(t *testing.T) {
 	sim.Benign.Generate(from, to, func(telemetry.Observation) { full++ })
 
 	var seen atomic.Int64
-	err := sim.GenerateParallelCtx(context.Background(), from, to, 4, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(context.Background(), from, to, 4, func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
 		first := true
 		return func(telemetry.Observation) {
 			seen.Add(1)
@@ -228,7 +129,7 @@ func TestGenerateParallelCtxSiblingsCancelled(t *testing.T) {
 				first = false
 				panic("fail fast")
 			}
-		}
+		}, nil
 	})
 	var pe *ShardPanicError
 	if !errors.As(err, &pe) {
@@ -252,12 +153,12 @@ func TestGenerateParallelCtxCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen atomic.Int64
-	err := sim.GenerateParallelCtx(ctx, from, to, 4, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(ctx, from, to, 4, func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
 		return func(telemetry.Observation) {
 			if seen.Add(1) == 100 {
 				cancel()
 			}
-		}
+		}, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -273,8 +174,8 @@ func TestGenerateParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var seen atomic.Int64
-	err := sim.GenerateParallelCtx(ctx, 84, 84, 2, func() telemetry.EmitFunc {
-		return func(telemetry.Observation) { seen.Add(1) }
+	err := sim.GenerateParallelSinksCtx(ctx, 84, 84, 2, func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
+		return func(telemetry.Observation) { seen.Add(1) }, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -303,12 +204,5 @@ func TestGenerateCtxMatchesGenerate(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("cancelled GenerateCtx emitted %d observations", n)
-	}
-}
-
-func BenchmarkFig2Parallel(b *testing.B) {
-	sim := getBenchSim()
-	for i := 0; i < b.N; i++ {
-		_ = sim.Fig2Parallel(0)
 	}
 }
